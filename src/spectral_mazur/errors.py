@@ -70,10 +70,6 @@ class NotSmooth(PreconditionError):
     name = "smooth-gauge"
 
 
-class NotStrictlyConvex(PreconditionError):
-    name = "strictly-convex-gauge"
-
-
 class ZeroVector(PreconditionError):
     name = "nonzero-vector"
 
@@ -83,10 +79,6 @@ class ZeroMatrix(PreconditionError):
 
 
 class NotPositive(PreconditionError):
-    name = "positive-semidefinite"
-
-
-class NotPSD(PreconditionError):
     name = "positive-semidefinite"
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,18 +48,26 @@ __all__ = [
 class Gauge:
     """Base class for gauge descriptors.  Use the subclasses to construct."""
 
-    def value(self, v) -> float:
-        return eval_gauge(self, v)
+    @cached_property
+    def _canon(self) -> Gauge:
+        # computed on first use; descriptors are frozen, so it never goes stale
+        return _canonical(self)
 
     @property
     def smooth(self) -> bool:
-        """True when the norm is Gateaux-differentiable away from 0."""
-        return _flags(_canonical(self))[0]
+        """True when the norm is Gateaux-differentiable away from 0.
 
-    @property
-    def strictly_convex(self) -> bool:
-        """True when the unit sphere contains no line segment."""
-        return _flags(_canonical(self))[1]
+        In this grammar that is the same as ``strictly_convex`` (the unit
+        sphere contains no line segment), and both hold exactly when the
+        canonical form is ``Lp(p)`` with ``1 < p < inf``: for n > 1 the Ky Fan
+        norms, their convexifications and the duals of those have kinks
+        where the active top-k set changes, and flat faces along which the
+        coordinates outside it move freely.
+        """
+        c = self._canon
+        return isinstance(c, Lp) and 1.0 < c.p < math.inf
+
+    strictly_convex = smooth
 
     def __str__(self) -> str:
         return format_gauge(self)
@@ -193,7 +202,7 @@ def _parse_exponent(p_text: str, full: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# canonical form and structural flags
+# canonical form
 
 
 def _canonical(g: Gauge) -> Gauge:
@@ -203,11 +212,12 @@ def _canonical(g: Gauge) -> Gauge:
     exponents, ``Dual(Lp(p)) = Lp(p')`` and ``Dual(Dual(g)) = g`` (the spaces
     are finite-dimensional, hence reflexive).  The result is one of: ``Lp``,
     ``KyFan``, ``Convexified`` with a non-Lp base, or ``Dual`` of such.
+    Subtrees are read from their cached forms, so each node is reduced once.
     """
     if isinstance(g, (Lp, KyFan)):
         return g
     if isinstance(g, Convexified):
-        base = _canonical(g.base)
+        base = g.base._canon
         if g.p == 1.0:
             return base
         if isinstance(base, Lp):
@@ -216,7 +226,7 @@ def _canonical(g: Gauge) -> Gauge:
             return Convexified(base.base, base.p * g.p)
         return Convexified(base, g.p)
     if isinstance(g, Dual):
-        base = _canonical(g.base)
+        base = g.base._canon
         if isinstance(base, Lp):
             return Lp(_conjugate(base.p))
         if isinstance(base, Dual):
@@ -225,33 +235,19 @@ def _canonical(g: Gauge) -> Gauge:
     raise GaugeParseError(f"not a gauge descriptor: {g!r}")
 
 
+def _canonical_form(g) -> Gauge:
+    """The cached canonical form of ``g``; rejects anything but a descriptor."""
+    if not isinstance(g, Gauge):
+        raise GaugeParseError(f"not a gauge descriptor: {g!r}")
+    return g._canon
+
+
 def _conjugate(p: float) -> float:
     if p == 1.0:
         return math.inf
     if math.isinf(p):
         return 1.0
     return p / (p - 1.0)
-
-
-def _flags(c: Gauge) -> tuple[bool, bool]:
-    """(smooth, strictly_convex) for a canonical descriptor.
-
-    In this family the Ky Fan norms (and their convexifications) are neither
-    smooth nor strictly convex for n > 1: the active top-k set introduces
-    kinks, and coordinates outside it move along the unit sphere for free.
-    Duality swaps the two flags on the predual.
-    """
-    if isinstance(c, Lp):
-        s = 1.0 < c.p < math.inf
-        return s, s
-    if isinstance(c, KyFan):
-        return False, False
-    if isinstance(c, Convexified):
-        return False, False
-    if isinstance(c, Dual):
-        sm, sc = _flags(c.base)
-        return sc, sm
-    raise GaugeParseError(f"not a gauge descriptor: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def _as_vector(v) -> np.ndarray:
 def eval_gauge(g: Gauge, v) -> float:
     """Evaluate the gauge on a real vector (any length >= 1)."""
     a = np.abs(_as_vector(v))
-    return _eval(_canonical(g), a)
+    return _eval(_canonical_form(g), a)
 
 
 def _eval(c: Gauge, a: np.ndarray) -> float:
@@ -344,33 +340,22 @@ def _dual_numeric(base: Gauge, a: np.ndarray) -> float:
 
 
 def dual_gauge(g: Gauge) -> Gauge:
-    """Descriptor of the dual norm.
+    """Descriptor of the dual norm: the canonical form of ``Dual(g)``.
 
     Closed forms are produced where they exist: ``Lp(p) -> Lp(p')`` and
     ``Dual(b) -> b``; ``KyFan(k)`` duals evaluate as
-    ``max(max|v|, sum|v|/k)``.  Anything else is wrapped in :class:`Dual`.
+    ``max(max|v|, sum|v|/k)``.
     """
-    if isinstance(g, Lp):
-        return Lp(_conjugate(g.p))
-    if isinstance(g, Dual):
-        return g.base
-    return Dual(g)
+    return Dual(g)._canon
 
 
 def convexify(g: Gauge, p) -> Gauge:
-    """p-convexification, with exact simplifications applied.
+    """p-convexification: the canonical form of ``Convexified(g, p)``.
 
     ``convexify(Lp(q), p) = Lp(pq)`` and nested convexifications multiply
-    their exponents; other bases are wrapped in :class:`Convexified`.
+    their exponents.
     """
-    p = _check_exponent(p)
-    if p == 1.0:
-        return g
-    if isinstance(g, Lp):
-        return Lp(g.p * p)
-    if isinstance(g, Convexified):
-        return convexify(g.base, g.p * p)
-    return Convexified(g, p)
+    return Convexified(g, p)._canon
 
 
 def duality_map_seq(g: Gauge, v) -> np.ndarray:
@@ -383,12 +368,9 @@ def duality_map_seq(g: Gauge, v) -> np.ndarray:
     ``J(v) = sign(v) |v|^(p-1) ‖v‖^(2-p)``.
     """
     a = _as_vector(v)
-    c = _canonical(g)
-    smooth, _ = _flags(c)
-    if not smooth:
+    c = _canonical_form(g)
+    if not g.smooth:
         raise NotSmooth(f"gauge {format_gauge(g)} is not smooth; no duality map")
-    if not isinstance(c, Lp):  # pragma: no cover - unreachable in this family
-        raise NotSmooth(f"no duality-map formula for {format_gauge(g)}")
     if not np.any(a):
         raise ZeroVector("duality map undefined at the zero vector")
     p = c.p

@@ -117,11 +117,11 @@ def polar(a) -> PolarParts:
     return PolarParts(isometry=isometry, modulus=modulus)
 
 
-def eigh_psd(a, *, tol_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def eigh_psd(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD matrix with a clamped spectrum.
 
     Hermiticity is enforced up to round-off; eigenvalues in
-    ``[-n * eps * lam_max * tol_scale, 0)`` are clamped to 0, anything more
+    ``[-n * eps * lam_max, 0)`` are clamped to 0, anything more
     negative raises :class:`NotPositive`.  Returns ``(lam, w)`` with ``lam``
     ascending.
     """
@@ -136,7 +136,7 @@ def eigh_psd(a, *, tol_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigh failed: {exc}") from exc
     lam_max = float(lam[-1]) if lam[-1] > 0 else 0.0
-    floor = -n * _EPS * lam_max * tol_scale - 10 * _EPS * scale
+    floor = -n * _EPS * lam_max - 10 * _EPS * scale
     if lam[0] < floor:
         raise NotPositive(f"matrix has negative eigenvalue {lam[0]:.3e}")
     return np.clip(lam, 0.0, None), w
@@ -210,7 +210,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise MatrixFormatError("matrix JSON must have 'dim' and 'data' fields")
     n = obj["dim"]
     data = obj["data"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MatrixFormatError(f"bad matrix dimension {n!r}")
     if not isinstance(data, list) or len(data) != n:
         raise MatrixFormatError("matrix data does not match 'dim'")
@@ -222,7 +222,7 @@ def matrix_from_json(obj) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise MatrixFormatError(f"entry ({i},{j}) is not an [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])

@@ -40,6 +40,13 @@ DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 MAX_DIM = 64
 
 
+def _checked(name: str, value, types):
+    """``value`` when it is an instance of ``types`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"bad {name}: {value!r}")
+    return value
+
+
 def dumps_json(obj) -> str:
     """Canonical JSON used for every artifact the package writes."""
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=2) + "\n"
@@ -64,11 +71,14 @@ class SuiteConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "gauges", tuple(str(s) for s in self.gauges))
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        # types are checked, never coerced: int() would run dims 2.7 as 2,
+        # and bools are ints to isinstance
+        for name, types in (("seed", int), ("samples_per_case", int), ("rel_tol", (int, float)), ("abs_tol", (int, float))):
+            _checked(name, getattr(self, name), types)
+        for name, types in (("dims", int), ("gauges", str), ("p_grid", (int, float))):
+            entries = _checked(name, getattr(self, name), (list, tuple))
+            object.__setattr__(self, name, tuple(_checked(f"{name} entry", x, types) for x in entries))
+        object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
         if not self.dims:
             raise ConfigError("dims must be nonempty")
         for d in self.dims:
@@ -80,11 +90,12 @@ class SuiteConfig:
             raise ConfigError("samples_per_case must be >= 1")
         if not self.gauges:
             raise ConfigError("gauges must be nonempty")
+        # non-finite values cannot be written into a report
         for p in self.p_grid:
-            if math.isnan(p) or p < 1.0:
-                raise ConfigError(f"p_grid entries must be >= 1, got {p}")
-        if not (self.rel_tol >= 0.0 and self.abs_tol >= 0.0):
-            raise ConfigError("tolerances must be nonnegative")
+            if not 1.0 <= p < math.inf:
+                raise ConfigError(f"p_grid entries must be finite and >= 1, got {p}")
+        if not (0.0 <= self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
+            raise ConfigError("tolerances must be finite and nonnegative")
 
     def parsed_gauges(self) -> tuple[tuple[str, Gauge], ...]:
         return tuple((s, parse_gauge(s)) for s in self.gauges)

@@ -80,15 +80,15 @@ def partial_isometry(rng: np.random.Generator, n: int) -> np.ndarray:
     return u[:, :rank] @ v[:rank, :]
 
 
-def ucptp_mixture(rng: np.random.Generator, n: int, terms: int = 3):
-    """Random mixture of unitary conjugations ``z -> sum_i lam_i U_i z U_i†``.
+def ucptp_mixture(rng: np.random.Generator, n: int):
+    """Random mixture of three unitary conjugations ``z -> sum_i lam_i U_i z U_i†``.
 
     Unital, completely positive, and trace preserving; contracts every
     unitarily invariant norm.  Returns ``(weights, unitaries)``.
     """
-    lam = rng.exponential(size=terms)
+    lam = rng.exponential(size=3)
     lam = lam / lam.sum()
-    us = [unitary(rng, n) for _ in range(terms)]
+    us = [unitary(rng, n) for _ in range(lam.size)]
     return lam, us
 
 

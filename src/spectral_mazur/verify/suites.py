@@ -491,7 +491,7 @@ def _lemma53(cfg: SuiteConfig):
 
 
 def _smooth_convex_gauges(cfg: SuiteConfig):
-    return tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth and g.strictly_convex)
+    return tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth)
 
 
 def _lemma54(cfg: SuiteConfig):

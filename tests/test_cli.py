@@ -63,8 +63,14 @@ def test_norm_missing_file(tmp_path, capsys):
 
 def test_norm_malformed_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 2, "data": [[1, 2], [3, 4]]}')
-    assert main(["norm", str(bad), "--gauge", "lp:2"]) == 2
+    for text in (
+        '{"dim": 2, "data": [[1, 2], [3, 4]]}',
+        '{"dim": true, "data": [[[1, 0]]]}',
+        '{"dim": 1, "data": [[[true, false]]]}',
+    ):
+        bad.write_text(text)
+        assert main(["norm", str(bad), "--gauge", "lp:2"]) == 2, text
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_error_is_exit_2(capsys):
@@ -196,6 +202,27 @@ def test_verify_bad_config_file(tmp_path):
     assert main(["verify", "ideal", "--config", str(cfg_file)]) == 2
     cfg_file.write_text(json.dumps({"bogus": 1}))
     assert main(["verify", "ideal", "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"dims": ["x"]},
+        {"p_grid": ["a"]},
+        {"dims": [1e400]},
+        {"samples_per_case": 2.5},
+        {"seed": True},
+        {"samples_per_case": True},
+        {"dims": [2.7]},
+        {"rel_tol": 1e400},
+        {"p_grid": [1e400]},
+    ],
+)
+def test_verify_bad_config_values(tmp_path, capsys, config):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["verify", "ideal", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_env_seed_and_flag_precedence(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ duality maps, and closed-form special cases.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from spectral_mazur import (
     Convexified,
     Dual,
+    Gauge,
     KyFan,
     Lp,
     convexify,
@@ -25,6 +27,7 @@ from spectral_mazur import (
     format_gauge,
     parse_gauge,
 )
+from spectral_mazur import gauge as gauge_mod
 from spectral_mazur.errors import GaugeParseError, NotSmooth, ZeroVector
 
 # descriptors whose evaluation reduces to a closed form
@@ -45,6 +48,73 @@ CLOSED_GAUGES = (
 
 # subset whose dual also evaluates in closed form
 PAIRING_GAUGES = tuple(s for s in CLOSED_GAUGES if s != "conv:1.5:kyfan:2")
+
+NESTED_BASES = ("lp:1", "lp:1.5", "lp:inf", "kyfan:2")
+NESTED_WRAPPERS = ("conv:2:", "conv:3:", "dual:")
+
+
+def _nested(max_depth):
+    """Every descriptor with at most ``max_depth`` wrappers around a base."""
+    return tuple(
+        "".join(prefix) + base
+        for depth in range(max_depth + 1)
+        for prefix in itertools.product(NESTED_WRAPPERS, repeat=depth)
+        for base in NESTED_BASES
+    )
+
+
+NESTED = _nested(3)
+SHALLOW = _nested(2)  # wrapped once more by the dual_gauge / convexify tests
+
+
+def _expected_canonical(text):
+    """Reduce a descriptor string outward from its base, one wrapper at a time.
+
+    Written independently of the package: dual pairs cancel, stacked
+    convexifications multiply, and both act on lp exponents directly.
+    """
+    ops = []
+    while text.startswith(("conv:", "dual:")):
+        head, text = text.split(":", 1)
+        if head == "conv":
+            p, text = text.split(":", 1)
+            ops.append(float(p))
+        else:
+            ops.append(None)
+    g = parse_gauge(text)
+    for p in reversed(ops):
+        if isinstance(g, Lp):
+            g = Lp(g.p * p) if p else Lp(1.0 / (1.0 - 1.0 / g.p) if g.p > 1.0 else math.inf)
+        elif p is None:
+            g = g.base if isinstance(g, Dual) else Dual(g)
+        else:
+            g = Convexified(g.base, g.p * p) if isinstance(g, Convexified) else Convexified(g, p)
+    return g
+
+
+def _same_canonical(c, expected):
+    if isinstance(expected, Lp):
+        return isinstance(c, Lp) and c.p == pytest.approx(expected.p, rel=1e-14)
+    return c == expected
+
+
+def _needs_slsqp(c):
+    """True when evaluating canonical ``c`` reaches the SLSQP dual (about 1.3 s a call)."""
+    return "dual:conv:" in format_gauge(c)
+
+
+def _direct(g, v):
+    """Evaluate a canonical descriptor from its definition (no peak scaling)."""
+    a = np.abs(v)
+    if isinstance(g, Lp):
+        return float(a.max()) if math.isinf(g.p) else float(np.sum(a**g.p) ** (1.0 / g.p))
+    if isinstance(g, KyFan):
+        return float(np.sort(a)[-g.k :].sum())
+    if isinstance(g, Convexified):
+        return _direct(g.base, a**g.p) ** (1.0 / g.p)
+    assert isinstance(g, Dual) and isinstance(g.base, KyFan)
+    return max(float(a.max()), float(a.sum()) / g.base.k)
+
 
 vectors = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False, width=64),
@@ -148,6 +218,54 @@ def test_canonical_equivalences_numeric():
         assert eval_gauge(parse_gauge("dual:lp:1.5"), v) == pytest.approx(eval_gauge(Lp(3.0), v), rel=1e-12)
         assert eval_gauge(parse_gauge("dual:dual:kyfan:2"), v) == pytest.approx(eval_gauge(KyFan(2), v), rel=1e-12)
         assert eval_gauge(parse_gauge("conv:2:conv:3:lp:1"), v) == pytest.approx(eval_gauge(Lp(6.0), v), rel=1e-12)
+    # nested descriptors reduce to the independently derived canonical form;
+    # convexified-Ky-Fan duals are compared by structure only
+    v = rng.normal(size=5)
+    for s in NESTED:
+        g = parse_gauge(s)
+        expected = _expected_canonical(s)
+        assert _same_canonical(gauge_mod._canonical_form(g), expected), s
+        if not _needs_slsqp(expected):
+            assert eval_gauge(g, v) == pytest.approx(_direct(expected, v), rel=1e-12), s
+
+
+def test_canonical_form_computed_once(monkeypatch):
+    calls = []
+    reduce = gauge_mod._canonical
+
+    def counting(g):
+        calls.append(g)
+        return reduce(g)
+
+    monkeypatch.setattr(gauge_mod, "_canonical", counting)
+    v = np.array([0.3, -1.2, 0.7])
+    for s in NESTED:
+        g = parse_gauge(s)
+        for _ in range(100):
+            assert g.smooth == g.strictly_convex
+            if g.smooth:
+                duality_map_seq(g, v)
+            if not _needs_slsqp(g._canon):
+                eval_gauge(g, v)
+    # calls holds every argument, so no id is reused
+    assert max(Counter(map(id, calls)).values()) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_gauge("lp:2", [1.0, 2.0]),
+        lambda: eval_gauge(Gauge(), [1.0, 2.0]),
+        lambda: duality_map_seq(None, [1.0, 2.0]),
+        lambda: dual_gauge("lp:2"),
+        lambda: convexify(2.0, 2.0),
+        lambda: Gauge().smooth,
+        lambda: format_gauge(object()),
+    ],
+)
+def test_non_descriptors_rejected(call):
+    with pytest.raises(GaugeParseError):
+        call()
 
 
 def test_overflow_safe_evaluation():
@@ -172,9 +290,15 @@ def test_flags():
     # genuinely non-lp convexification: neither property is certified
     h = parse_gauge("conv:2:kyfan:2")
     assert not h.smooth and not h.strictly_convex
-    # duality swaps the two flags
     d = parse_gauge("dual:conv:2:kyfan:2")
-    assert d.smooth == h.strictly_convex and d.strictly_convex == h.smooth
+    assert not d.smooth and not d.strictly_convex
+    # in this grammar both flags hold exactly when the canonical form is
+    # lp:p with 1 < p < inf
+    for s in NESTED:
+        g = parse_gauge(s)
+        expected = _expected_canonical(s)
+        lp_smooth = isinstance(expected, Lp) and 1.0 < expected.p < math.inf
+        assert g.smooth == g.strictly_convex == lp_smooth, s
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +310,31 @@ def test_dual_gauge_structure():
     assert dual_gauge(Lp(1.0)) == Lp(math.inf)
     assert dual_gauge(Dual(KyFan(2))) == KyFan(2)
     assert dual_gauge(KyFan(2)) == Dual(KyFan(2))
+    # dual_gauge evaluates exactly like the wrapped descriptor
+    v = np.array([0.3, -1.2, 0.7, 2.0])
+    for s in SHALLOW:
+        g = parse_gauge(s)
+        d = dual_gauge(g)
+        if _needs_slsqp(d):
+            assert d == _expected_canonical("dual:" + s), s
+        else:
+            assert eval_gauge(d, v) == eval_gauge(Dual(g), v), s
 
 
 def test_convexify_structure():
     assert convexify(Lp(2.0), 3.0) == Lp(6.0)
     assert convexify(KyFan(2), 1.0) == KyFan(2)
     assert convexify(Convexified(KyFan(2), 2.0), 3.0) == Convexified(KyFan(2), 6.0)
+    # convexify evaluates exactly like the wrapped descriptor
+    v = np.array([0.3, -1.2, 0.7, 2.0])
+    for s in SHALLOW:
+        g = parse_gauge(s)
+        for p in (2.0, 3.0):
+            c = convexify(g, p)
+            if _needs_slsqp(c):
+                assert c == _expected_canonical(f"conv:{p:g}:{s}"), s
+            else:
+                assert eval_gauge(c, v) == eval_gauge(Convexified(g, p), v), s
     with pytest.raises(GaugeParseError):
         convexify(Lp(2.0), 0.5)
 
