@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -93,6 +94,12 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"--dims expects a comma-separated list of integers, got {text!r}") from None
+
+
+def _check_p(p: float | None) -> None:
+    """``--p`` is written into the manifest, so it must be finite even where unused."""
+    if p is not None and not math.isfinite(p):
+        raise ConfigError(f"--p must be a finite number, got {p}")
 
 
 def _load_matrix(path: str):
@@ -212,6 +219,7 @@ def _project(kind: str, g, p, m):
 
 
 def _cmd_map(args) -> int:
+    _check_p(args.p)
     g = parse_gauge(args.gauge)
     m = _load_matrix(args.matrix)
     kind = args.kind
@@ -300,6 +308,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
+    _check_p(args.p)
     cfg = _build_config(args)
     g = parse_gauge(args.gauge)
     profile = estimate_modulus(args.map, cfg, g, p=args.p)

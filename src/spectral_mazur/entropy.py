@@ -21,7 +21,8 @@ residual of that identity is reported and doubles as the distance
 minimization (the two maps are mutually inverse between the unit spheres).
 
 ``entropy_min_bruteforce`` is a deliberately independent grid-search oracle
-(diagonal states, dimension <= 3) used to cross-check the solver.
+(diagonal states, dimension <= 3) used to cross-check the solver: it calls
+none of the solver's code, and scans each of its grids as one array.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .gauge import (
     Gauge,
     Lp,
     _canonical_form,
+    _eval_rows,
     dual_gauge,
     duality_map_seq,
     eval_gauge,
@@ -400,12 +402,50 @@ class GridSearchReport:
     pitch: float
 
 
+def _rays(*coords) -> np.ndarray:
+    """Grid points ``(c_1, ..., c_k, 1 - c_1 - ... - c_k)`` as rows.
+
+    Points with a negative coordinate lie off the simplex and are dropped.
+    """
+    last = 1.0 - coords[0]
+    for c in coords[1:]:
+        last = last - c
+    w = np.column_stack((*coords, last))
+    return w[np.all(w >= 0.0, axis=1)]
+
+
+def _on_sphere(c: Gauge, rs: np.ndarray, w: np.ndarray):
+    """Each grid row normalized onto the sphere of ``c``: ``(y, objective, pos)``.
+
+    ``pos`` marks rows of positive norm (the others are left unscaled).  The
+    objective ``sum rs log(rs / y)`` is ``inf`` where the row's norm is not
+    positive or the normalized row has a coordinate ``<= 0``.
+    """
+    nw = _eval_rows(c, w)
+    pos = nw > 0.0
+    y = w / np.where(pos, nw, 1.0)[:, None]
+    ok = pos & np.all(y > 0.0, axis=1)
+    vals = np.full(len(w), math.inf)
+    vals[ok] = np.sum(rs * np.log(rs / y[ok]), axis=1)
+    return y, vals, pos
+
+
+def _scan(c: Gauge, rs: np.ndarray, w: np.ndarray):
+    """The first grid row of least objective: ``(objective, y, row)``."""
+    y, vals, _ = _on_sphere(c, rs, w)
+    i = int(np.argmin(vals))
+    return float(vals[i]), y[i], w[i]
+
+
 def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
     """Dense grid search over the positive unit sphere (diagonal, dim <= 3).
 
-    Deliberately independent of the solver: parameterizes rays through the
-    probability simplex, normalizes each onto the gauge sphere, scans a base
-    grid, then runs one refinement pass around the winner.
+    Deliberately independent of the solver: it calls none of the solver's
+    code (no ``_solve_support``, no duality map).  It parameterizes rays
+    through the probability simplex, normalizes each onto the gauge sphere,
+    scans a base grid, then runs one refinement pass around the winner; a
+    refined point wins ties against the base winner.  Each grid is
+    evaluated as one ``(points, dim)`` array.
     """
     m = as_matrix(rho)
     n = m.shape[0]
@@ -424,70 +464,36 @@ def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
         y[supp[0]] = 1.0
         return GridSearchReport(minimizer=np.diag(y).astype(complex), objective=0.0, pitch=1e-12)
 
-    def objective_at(w: np.ndarray):
-        nw = eval_gauge(g, w)
-        if nw <= 0.0:
-            return math.inf, None
-        y = w / nw
-        if np.any((rs > 0.0) & (y <= 0.0)):
-            return math.inf, y
-        return float(np.sum(rs * np.log(rs / y))), y
-
-    def scan(points):
-        best = (math.inf, None, None)
-        for w in points:
-            val, y = objective_at(w)
-            if val < best[0]:
-                best = (val, y, w)
-        return best
-
+    c = _canonical_form(g)
     if msz == 2:
         k1 = 2000
-        base = [np.array([t, 1.0 - t]) for t in np.linspace(0.0, 1.0, k1 + 1)]
-        val, y, w = scan(base)
+        val, y, w = _scan(c, rs, _rays(np.linspace(0.0, 1.0, k1 + 1)))
         h = 1.0 / k1
         t0 = float(w[0])
         fine_t = np.linspace(max(0.0, t0 - h), min(1.0, t0 + h), 2001)
-        refined = [np.array([t, 1.0 - t]) for t in fine_t]
-        val, y, w = min((scan(refined), (val, y, w)), key=lambda b: b[0])
+        fine = _scan(c, rs, _rays(fine_t))
+        if fine[0] <= val:
+            val, y, w = fine
         step = float(fine_t[1] - fine_t[0])
-        neighbours = [np.array([t, 1.0 - t]) for t in (w[0] - step, w[0] + step) if 0.0 <= t <= 1.0]
+        neighbours = _rays(w[0] + np.array([-step, step]))
     else:
         k1 = 60
-        base = [
-            np.array([i, j, k1 - i - j]) / k1
-            for i in range(k1 + 1)
-            for j in range(k1 + 1 - i)
-        ]
-        val, y, w = scan(base)
+        i, j = np.indices((k1 + 1, k1 + 1)).reshape(2, -1)
+        keep = i + j <= k1
+        base = np.column_stack((i[keep], j[keep], k1 - i[keep] - j[keep])) / k1
+        val, y, w = _scan(c, rs, base)
         h = 1.0 / k1
         axis = np.linspace(-h, h, 81)
-        refined = []
-        for da in axis:
-            for db in axis:
-                cand = np.array([w[0] + da, w[1] + db, 0.0])
-                cand[2] = 1.0 - cand[0] - cand[1]
-                if np.all(cand >= 0.0):
-                    refined.append(cand)
-        val, y, w = min((scan(refined), (val, y, w)), key=lambda b: b[0])
+        da, db = np.meshgrid(axis, axis, indexing="ij")
+        fine = _scan(c, rs, _rays(w[0] + da.ravel(), w[1] + db.ravel()))
+        if fine[0] <= val:
+            val, y, w = fine
         step = float(axis[1] - axis[0])
-        neighbours = []
-        for delta in (
-            (step, 0.0),
-            (-step, 0.0),
-            (0.0, step),
-            (0.0, -step),
-        ):
-            cand = np.array([w[0] + delta[0], w[1] + delta[1], 0.0])
-            cand[2] = 1.0 - cand[0] - cand[1]
-            if np.all(cand >= 0.0):
-                neighbours.append(cand)
+        deltas = np.array([(step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)])
+        neighbours = _rays(w[0] + deltas[:, 0], w[1] + deltas[:, 1])
 
-    pitch = 1e-12
-    for nb in neighbours:
-        _, yn = objective_at(nb)
-        if yn is not None:
-            pitch = max(pitch, float(np.abs(yn - y).sum()))
+    yn, _, pos = _on_sphere(c, rs, neighbours)
+    pitch = float(np.max(np.abs(yn[pos] - y).sum(axis=1), initial=1e-12))
     y_full = np.zeros(n)
     y_full[supp] = y
     return GridSearchReport(

@@ -15,6 +15,7 @@ commutators select differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MazurParams:
-    """Base gauge and exponent ``p >= 1`` selecting a Mazur map."""
+    """Base gauge and finite exponent ``p >= 1`` selecting a Mazur map."""
 
     gauge: Gauge
     p: float
@@ -42,7 +43,10 @@ class MazurParams:
     def __post_init__(self):
         if not isinstance(self.gauge, Gauge):
             raise GaugeParseError(f"gauge must be a descriptor, got {self.gauge!r}")
-        object.__setattr__(self, "p", _check_exponent(self.p))
+        p = _check_exponent(self.p)
+        if math.isinf(p):
+            raise GaugeParseError(f"Mazur map exponent must be finite, got {p}")
+        object.__setattr__(self, "p", p)
 
 
 def _svd_power(a, p: float) -> np.ndarray:

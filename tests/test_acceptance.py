@@ -113,6 +113,7 @@ def test_criterion_2_explicit_constants():
 
 
 def test_criterion_3_solver_matches_grid_oracle():
+    t0 = time.monotonic()
     rng = np.random.default_rng(2026)
     gauges = [parse_gauge(s) for s in ("lp:1.5", "lp:2", "lp:3", "conv:2:lp:2")]
     worst = 0.0
@@ -125,7 +126,12 @@ def test_criterion_3_solver_matches_grid_oracle():
             d = trace_norm(sol.minimizer - brute.minimizer)
             assert d <= 2.0 * brute.pitch, (i, format_gauge(g), d, brute.pitch)
             worst = max(worst, d / brute.pitch)
-    print(f"criterion 3: PASS - 50 instances x 4 gauges, worst distance {worst:.3f} pitch (limit 2)")
+    elapsed = time.monotonic() - t0
+    assert elapsed <= 30.0, f"oracle check took {elapsed:.1f}s, budget 30s"
+    print(
+        f"criterion 3: PASS - 50 instances x 4 gauges, worst distance {worst:.3f} pitch (limit 2), "
+        f"{elapsed:.1f}s"
+    )
 
 
 def test_criterion_4_entropy_map_roundtrips():

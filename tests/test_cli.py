@@ -291,6 +291,25 @@ def test_modulus_requires_p_for_power_maps(tmp_path):
     assert main(["modulus", "Gp", "--gauge", "lp:1", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", ["mazur", "mazur-inv", "entropy-min", "gmap"])
+def test_map_non_finite_p_is_usage_error(state_file, tmp_path, capsys, kind, p):
+    # --p is recorded in the manifest, so it is rejected even where unused
+    path, _ = state_file
+    assert main(["map", kind, path, "--gauge", "lp:2", "--p", p, "--out", str(tmp_path / "o.json"), *TS]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("p", ["inf", "nan"])
+@pytest.mark.parametrize("map_name", ["Gp", "Gp_inv", "FX"])
+def test_modulus_non_finite_p_is_usage_error(tmp_path, capsys, map_name, p):
+    argv = ["modulus", map_name, "--gauge", "lp:1", "--p", p, "--dims", "2", "--samples", "2"]
+    assert main([*argv, "--out", str(tmp_path / "x"), *TS]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_modulus_smoothness_precondition(tmp_path):
     # the entropy map needs a smooth gauge (operator norm is not)
     assert main(["modulus", "FX", "--gauge", "kyfan:1", "--dims", "2", "--samples", "4", "--out", str(tmp_path / "x")]) == 4

@@ -24,6 +24,8 @@ from spectral_mazur import (
     rel_entropy,
     trace_norm,
 )
+from spectral_mazur import entropy as entropy_mod
+from spectral_mazur import gauge as gauge_mod
 from spectral_mazur.entropy import EntropyMinReport
 from spectral_mazur.errors import (
     DimensionTooLarge,
@@ -270,6 +272,95 @@ def test_bruteforce_matches_solver_three_dims():
         dist = trace_norm(brute.minimizer - solved)
         assert dist <= 2.0 * brute.pitch, (s, dist, brute.pitch)
         assert brute.objective >= entropy_min_mat(g, np.diag(r)).objective - 1e-9
+
+
+def _reference_bruteforce(g, r):
+    """The grid oracle's scan written one point at a time through ``eval_gauge``.
+
+    Same grids, refinement, tie rule and pitch as ``entropy_min_bruteforce``;
+    returns ``(minimizer spectrum, objective, pitch)``.
+    """
+    supp = np.flatnonzero(r > 0.0)
+    rs = r[supp]
+
+    def objective_at(w):
+        nw = eval_gauge(g, w)
+        if nw <= 0.0:
+            return math.inf, None
+        y = w / nw
+        if np.any((rs > 0.0) & (y <= 0.0)):
+            return math.inf, y
+        return float(np.sum(rs * np.log(rs / y))), y
+
+    def scan(points):
+        best = (math.inf, None, None)
+        for w in points:
+            val, y = objective_at(w)
+            if val < best[0]:
+                best = (val, y, w)
+        return best
+
+    def point(a, b=None):
+        if b is None:
+            return np.array([a, 1.0 - a])
+        cand = np.array([a, b, 0.0])
+        cand[2] = 1.0 - cand[0] - cand[1]
+        return cand
+
+    if supp.size == 2:
+        val, y, w = scan(point(t) for t in np.linspace(0.0, 1.0, 2001))
+        h = 1.0 / 2000
+        fine_t = np.linspace(max(0.0, w[0] - h), min(1.0, w[0] + h), 2001)
+        val, y, w = min((scan(point(t) for t in fine_t), (val, y, w)), key=lambda b: b[0])
+        step = float(fine_t[1] - fine_t[0])
+        neighbours = [point(t) for t in (w[0] - step, w[0] + step) if 0.0 <= t <= 1.0]
+    else:
+        base = [np.array([i, j, 60 - i - j]) / 60 for i in range(61) for j in range(61 - i)]
+        val, y, w = scan(base)
+        axis = np.linspace(-1.0 / 60, 1.0 / 60, 81)
+        fine = (point(w[0] + da, w[1] + db) for da in axis for db in axis)
+        val, y, w = min((scan(c for c in fine if np.all(c >= 0.0)), (val, y, w)), key=lambda b: b[0])
+        step = float(axis[1] - axis[0])
+        deltas = ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step))
+        neighbours = [c for c in (point(w[0] + da, w[1] + db) for da, db in deltas) if np.all(c >= 0.0)]
+    pitch = 1e-12
+    for nb in neighbours:
+        _, yn = objective_at(nb)
+        if yn is not None:
+            pitch = max(pitch, float(np.abs(yn - y).sum()))
+    y_full = np.zeros(r.size)
+    y_full[supp] = y
+    return y_full, val, pitch
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bruteforce_matches_per_point_reference(n):
+    rng = np.random.default_rng(40 + n)
+    states = [rng.dirichlet(np.full(n, 2.0)) for _ in range(2)]
+    if n == 3:
+        states.append(np.array([0.6, 0.0, 0.4]))  # support of size 2 inside dim 3
+    # kyfan:2 takes the row-by-row fallback of the array evaluation
+    for r in states:
+        for s in ("lp:1.5", "lp:2", "lp:3", "conv:2:lp:2", "kyfan:2"):
+            g = parse_gauge(s)
+            rep = entropy_min_bruteforce(g, np.diag(r))
+            y, objective, pitch = _reference_bruteforce(g, r)
+            # neighbouring grid points lie at least 1e-7 apart on the sphere,
+            # so agreement to 1e-15 means the same grid point won
+            assert np.abs(np.diag(rep.minimizer).real - y).max() <= 1e-15, (r, s)
+            assert abs(rep.objective - objective) <= 1e-12 * abs(objective), (r, s)
+            assert abs(rep.pitch - pitch) <= 1e-12 * pitch, (r, s)
+
+
+def test_bruteforce_calls_no_solver_code(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the grid oracle called the solver's code")
+
+    for mod, name in ((entropy_mod, "_solve_support"), (entropy_mod, "duality_map_seq"), (gauge_mod, "duality_map_seq")):
+        monkeypatch.setattr(mod, name, forbidden)
+    for n in (2, 3):
+        rep = entropy_min_bruteforce(Lp(2.0), np.diag(np.full(n, 1.0 / n)))
+        assert rep.pitch > 0.0
 
 
 def test_bruteforce_preconditions():

@@ -229,6 +229,15 @@ def test_canonical_equivalences_numeric():
             assert eval_gauge(g, v) == pytest.approx(_direct(expected, v), rel=1e-12), s
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.5, 7.3, math.inf])
+def test_double_dual_of_lp_is_exact(q):
+    # the dual pair cancels before any exponent is conjugated, so q is kept
+    # to the last bit (conjugating 4.5 twice gives 4.499999999999999)
+    for wrap in ("dual:dual:", "dual:dual:dual:dual:"):
+        c = gauge_mod._canonical_form(parse_gauge(wrap + format_gauge(Lp(q))))
+        assert c == Lp(q) and format_gauge(c) == format_gauge(Lp(q)), (wrap, q)
+
+
 def test_canonical_form_computed_once(monkeypatch):
     calls = []
     reduce = gauge_mod._canonical
@@ -266,6 +275,26 @@ def test_canonical_form_computed_once(monkeypatch):
 def test_non_descriptors_rejected(call):
     with pytest.raises(GaugeParseError):
         call()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 60.0, math.inf])
+def test_eval_rows_matches_eval_gauge_lp(p):
+    rng = np.random.default_rng(8)
+    rows = np.abs(rng.normal(size=(6, 5)))
+    rows = np.vstack([rows, np.zeros((1, 5)), rows * 1e300, rows * 1e-300, [[0.0, 0.0, 2.0, 0.0, 0.0]]])
+    got = gauge_mod._eval_rows(Lp(p), rows)
+    expect = np.array([eval_gauge(Lp(p), row) for row in rows])
+    assert got.shape == expect.shape and got[6] == 0.0
+    assert np.all(np.abs(got - expect) <= 1e-15 * expect), p
+
+
+def test_eval_rows_falls_back_to_eval():
+    rng = np.random.default_rng(9)
+    rows = np.vstack([np.abs(rng.normal(size=(6, 3))), np.zeros((1, 3))])
+    for s in ("kyfan:2", "conv:2:kyfan:2", "dual:kyfan:2"):
+        c = gauge_mod._canonical_form(parse_gauge(s))
+        got = gauge_mod._eval_rows(c, rows)
+        assert got.tolist() == [eval_gauge(c, row) for row in rows], s
 
 
 def test_overflow_safe_evaluation():

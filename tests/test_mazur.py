@@ -42,7 +42,11 @@ def _conditioned(rng, n, p):
 def test_params_validation():
     with pytest.raises(GaugeParseError):
         MazurParams(Lp(2.0), 0.5)
+    for p in (float("inf"), float("nan"), "inf"):
+        with pytest.raises(GaugeParseError):
+            MazurParams(Lp(2.0), p)
     MazurParams(Lp(2.0), 1.0)  # the identity map is allowed
+    MazurParams(Lp(float("inf")), 2.0)  # lp:inf is a base gauge like any other
 
 
 def test_forward_frozen_signed_diagonal():
