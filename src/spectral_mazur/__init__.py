@@ -44,6 +44,7 @@ from .gauge import (
     dual_gauge,
     duality_map_seq,
     eval_gauge,
+    eval_gauge_rows,
     format_gauge,
     parse_gauge,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "parse_gauge",
     "format_gauge",
     "eval_gauge",
+    "eval_gauge_rows",
     "dual_gauge",
     "convexify",
     "duality_map_seq",

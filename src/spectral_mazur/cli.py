@@ -274,6 +274,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = _build_config(args)
     if args.suite == "all":
         names = SUITE_NAMES
@@ -282,11 +284,10 @@ def _cmd_verify(args) -> int:
     else:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {list(SUITE_NAMES)} or 'all'")
     out_dir = args.out or "reports"
-    threads = max(1, int(args.threads))
 
     failed = False
     for name in names:
-        report = run_inequality_suite(name, cfg, threads=threads)
+        report = run_inequality_suite(name, cfg, threads=args.threads)
         path = str(Path(out_dir) / f"{name}.report.json")
         _write_text(path, dumps_json(report.to_json()))
         status = "PASS" if report.passed else "FAIL"

@@ -46,10 +46,10 @@ from .gauge import (
     Gauge,
     Lp,
     _canonical_form,
-    _eval_rows,
     dual_gauge,
     duality_map_seq,
     eval_gauge,
+    eval_gauge_rows,
     format_gauge,
 )
 from .matnorm import (
@@ -421,7 +421,7 @@ def _on_sphere(c: Gauge, rs: np.ndarray, w: np.ndarray):
     objective ``sum rs log(rs / y)`` is ``inf`` where the row's norm is not
     positive or the normalized row has a coordinate ``<= 0``.
     """
-    nw = _eval_rows(c, w)
+    nw = eval_gauge_rows(c, w)
     pos = nw > 0.0
     y = w / np.where(pos, nw, 1.0)[:, None]
     ok = pos & np.all(y > 0.0, axis=1)

@@ -39,6 +39,7 @@ __all__ = [
     "parse_gauge",
     "format_gauge",
     "eval_gauge",
+    "eval_gauge_rows",
     "dual_gauge",
     "convexify",
     "duality_map_seq",
@@ -295,27 +296,49 @@ def _eval(c: Gauge, a: np.ndarray) -> float:
     raise GaugeParseError(f"not a gauge descriptor: {c!r}")
 
 
-def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
-    """Evaluate a canonical gauge on each row of a nonnegative finite 2-d array.
+def eval_gauge_rows(g: Gauge, a) -> np.ndarray:
+    """Evaluate the gauge on each row of a real 2-d array.
 
-    ``Lp`` rows take :func:`_eval`'s peak scaling as array expressions; each
-    row's root goes through the scalar pow that :func:`_eval` uses, because
-    numpy's array pow differs from it in the last bit on a few percent of
-    rows.  Every other form is evaluated row by row through :func:`_eval`.
+    Row ``j`` of the result equals ``eval_gauge(g, a[j])`` bit for bit.
+    Finiteness is checked once for the whole array.
     """
-    if not isinstance(c, Lp):
-        return np.array([_eval(c, row) for row in a])
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise GaugeParseError(f"expected a nonempty 2-d real array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalFailure("array contains NaN or Inf")
+    return _eval_rows(_canonical_form(g), np.abs(a))
+
+
+def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
+    """:func:`_eval` on each row of a nonnegative finite 2-d array.
+
+    The closed forms mirror :func:`_eval` operation by operation, with each
+    row's root taken by the scalar pow that :func:`_eval` uses, because
+    numpy's array pow differs from it in the last bit on a few percent of
+    entries.  Duals without a closed form go row by row through :func:`_eval`.
+    """
     peak = a.max(axis=1)
-    if math.isinf(c.p):
+    if isinstance(c, Lp) and math.isinf(c.p):
         return peak
-    if c.p == 1.0:
+    if isinstance(c, Lp) and c.p == 1.0:
         return a.sum(axis=1)
-    out = np.zeros_like(peak)
-    nz = peak > 0.0
-    sums = np.sum((a[nz] / peak[nz, None]) ** c.p, axis=1)
+    if isinstance(c, KyFan):
+        return np.sort(a, axis=1)[:, ::-1][:, : c.k].sum(axis=1)
+    if isinstance(c, Dual) and isinstance(c.base, KyFan):
+        return np.maximum(peak, a.sum(axis=1) / min(c.base.k, a.shape[1]))
+    if isinstance(c, Dual):
+        return np.array([_eval(c, row) for row in a])
+    # Lp with 1 < p < inf, or Convexified: peak * inner((a / peak)^p)^(1/p)
+    if not peak.all():
+        out = np.zeros_like(peak)
+        nz = peak > 0.0
+        out[nz] = _eval_rows(c, a[nz])
+        return out
+    scaled = (a / peak[:, None]) ** c.p
+    inner = scaled.sum(axis=1) if isinstance(c, Lp) else _eval_rows(c.base, scaled)
     inv = 1.0 / c.p
-    out[nz] = peak[nz] * np.array([s**inv for s in sums.tolist()])
-    return out
+    return peak * np.array([s**inv for s in inner.tolist()])
 
 
 def _dual_numeric(base: Gauge, a: np.ndarray) -> float:

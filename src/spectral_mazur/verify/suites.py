@@ -6,22 +6,28 @@ and reports violations under the rule ``lhs > rhs * (1 + rel_tol) + abs_tol``.
 Suites are registered by name; ``run_inequality_suite`` evaluates one suite
 and produces a deterministic :class:`SuiteReport`.
 
-Concurrency model: the sample stream is partitioned by index, each sample is
-evaluated independently (its generator is derived from the sample index, not
-from a shared stream), and partial results are merged in index order — so the
-report bytes cannot depend on the number of threads.
+Concurrency model: the samples of each dimension are cut into blocks of at
+most ``_BLOCK_SAMPLES`` consecutive indices, and a worker evaluates one block.
+Every sample still draws from its own generator, keyed by
+``(seed, suite, dim, index)`` and never by its block, so neither the block
+size nor the number of threads can change what a sample is.  A worker stacks
+its block's matrices and runs LAPACK, matmul and the gauges once per stacked
+array; per matrix and per row these give the same bits as one call per
+sample.  Blocks are merged in index order, which keeps cases and violations
+in sample order, so the report bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
 from ..entropy import entropy_min_general, entropy_min_mat, norming_state, rel_entropy
 from ..errors import UnknownSuite
-from ..gauge import Lp, eval_gauge
+from ..gauge import Lp, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, matrix_to_json
 from ..mazur import MazurParams, mazur_inverse
 from . import sampling
@@ -33,13 +39,16 @@ __all__ = ["SUITE_NAMES", "CORE_SUITE_NAMES", "run_inequality_suite"]
 _STATE_SIDE_TOL = 1e-6  # minimize-then-map direction, certified by the solver
 _SPHERE_SIDE_TOL = 1e-5  # map-then-minimize direction, limited by eigh noise
 
+# samples per block: bounds the stacked arrays at MAX_DIM for any sample count
+_BLOCK_SAMPLES = 64
+
 
 # ---------------------------------------------------------------------------
-# small spectral helpers
+# spectral helpers; each takes one matrix or a stack of them
 
 
 def _desc(v: np.ndarray) -> np.ndarray:
-    return np.sort(np.asarray(v, dtype=float))[::-1]
+    return np.sort(np.asarray(v, dtype=float), axis=-1)[..., ::-1]
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
@@ -56,13 +65,42 @@ def _eigh_clip(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(lam, 0.0, None), w
 
 
+def _adj(w: np.ndarray) -> np.ndarray:
+    return w.conj().swapaxes(-1, -2)
+
+
 def _power(lam: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    return (w * lam**p) @ w.conj().T
+    return (w * (lam**p)[..., None, :]) @ _adj(w)
 
 
-def _conv(g, s_desc: np.ndarray, p: float) -> float:
-    """Norm built from the p-convexified gauge, on known singular values."""
-    return eval_gauge(g, s_desc**p) ** (1.0 / p)
+def _spow(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` entry by entry with the scalar pow of Python floats.
+
+    numpy's array pow differs from it in the last bit on a few percent of
+    entries; the per-sample formulas powered Python floats.
+    """
+    return np.array([v**e for v in x.tolist()])
+
+
+def _pow_desc(d: np.ndarray, p: float) -> np.ndarray:
+    """``d ** p`` for stacked ``_desc`` rows, entry by entry as ``_desc(v) ** p``.
+
+    numpy sends a 1-d negative-stride view such as ``_desc(v)`` to its scalar
+    pow loop and every 2-d layout to its SIMD loop, which differ in the last
+    bit, so the rows are powered as one 1-d negative-stride view.
+    """
+    flat = np.ascontiguousarray(d[:, ::-1]).ravel()[::-1]
+    return (flat**p)[::-1].reshape(d.shape)[:, ::-1]
+
+
+def _conv(g, s: np.ndarray, p: float) -> np.ndarray:
+    """Norm built from the p-convexified gauge, on rows of singular values."""
+    return _spow(eval_gauge_rows(g, s**p), 1.0 / p)
+
+
+def _conv_desc(g, d: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_conv` on rows that the per-sample formulas held as ``_desc`` views."""
+    return _spow(eval_gauge_rows(g, _pow_desc(d, p)), 1.0 / p)
 
 
 def _l1_herm(h: np.ndarray) -> float:
@@ -86,38 +124,53 @@ def _psd_log(m: np.ndarray) -> np.ndarray:
     return (w * np.log(lam)) @ w.conj().T
 
 
-def _contraction(rng: np.random.Generator, n: int, variant: int) -> np.ndarray:
-    """A matrix with operator norm exactly 1, in one of three shapes.
+def _contraction(rng: np.random.Generator, n: int, variant: int) -> tuple[np.ndarray, bool]:
+    """A draw for a matrix with operator norm exactly 1, in one of three shapes.
 
     Variants: scaled Ginibre, scaled Hermitian, or the corner block
     ``[[0, I], [0, 0]]`` (padded when n is odd) — the structured matrix whose
-    commutators select block differences.
+    commutators select block differences.  Returns the matrix and whether it
+    still has to be scaled by its operator norm (see :func:`_contractions`).
     """
     if variant == 2 and n >= 2:
         m = n // 2
         b = np.zeros((n, n), dtype=complex)
         b[:m, m : 2 * m] = np.eye(m)
-        return b
+        return b, False
     if variant == 1:
-        h = sampling.hermitian(rng, n)
-        return h / _svals(h)[0]
-    g = sampling.ginibre(rng, n)
-    return g / _svals(g)[0]
+        return sampling.hermitian(rng, n), True
+    return sampling.ginibre(rng, n), True
 
 
-def _payload(**kw):
-    def build():
-        out = {}
-        for key, value in kw.items():
-            if isinstance(value, np.ndarray):
-                out[key] = matrix_to_json(value)
-            elif isinstance(value, (np.floating, np.integer)):
-                out[key] = float(value)
-            else:
-                out[key] = value
-        return out
+def _contractions(draws) -> np.ndarray:
+    """Stack :func:`_contraction` draws, scaling those that need it."""
+    b = np.stack([m for m, _ in draws])
+    scale = np.array([s for _, s in draws])
+    if scale.any():
+        b[scale] = b[scale] / _svals(b[scale])[:, :1, None]
+    return b
 
-    return build
+
+def _draws(cfg: SuiteConfig, suite: str, n: int, indices: range, draw) -> list:
+    """``draw(rng)`` for each sample of the block, from the sample's own generator."""
+    return [draw(sampling.make_rng(cfg.seed, suite, n, i)) for i in indices]
+
+
+def _stack(draws) -> tuple[np.ndarray, ...]:
+    """Per-sample tuples of matrices to one stacked array per position."""
+    return tuple(map(np.stack, zip(*draws)))
+
+
+def _payload(kw: dict) -> dict:
+    out = {}
+    for key, value in kw.items():
+        if isinstance(value, np.ndarray):
+            out[key] = matrix_to_json(value)
+        elif isinstance(value, (np.floating, np.integer)):
+            out[key] = float(value)
+        else:
+            out[key] = value
+    return out
 
 
 def _fmt(x: float) -> str:
@@ -125,30 +178,95 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# suite workers
+# blocks
 #
-# Each factory takes the config and returns worker(n, i) -> (cases, records)
-# where cases are (label, lhs, rhs, payload_builder) and records are
-# (key, value) diagnostic maxima that are tracked but not asserted.
+# Each factory takes the config and returns worker(n, indices) -> _Block for
+# the samples ``indices`` of dimension n.
+
+
+class _Block:
+    """The cases of one block, in report order.
+
+    ``lhs``/``rhs`` are 1-d arrays; ``describe(k)`` gives case k's label and
+    payload fields, and is called only for violations.  ``records`` are
+    ``(key, values)`` diagnostics whose maxima are tracked but not asserted.
+    """
+
+    __slots__ = ("lhs", "rhs", "describe", "records")
+
+    def __init__(self, lhs, rhs, describe: Callable[[int], tuple[str, dict]], records=()):
+        self.lhs = np.asarray(lhs, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.describe = describe
+        self.records = records
+
+
+_EMPTY = _Block((), (), None)
+
+
+class _Cases:
+    """Case columns of a block: one ``(rows,)`` array per case kind.
+
+    Row j is the block's j-th sample; the cases of a sample come out in the
+    order they were added, after those of the samples before it.
+    """
+
+    def __init__(self):
+        self.keys, self.lhs, self.rhs, self.records = [], [], [], []
+
+    def add(self, key, lhs: np.ndarray, rhs: np.ndarray):
+        self.keys.append(key)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
+
+    def record(self, name: str, num: np.ndarray, den: np.ndarray, tol: float):
+        """Record ``num / den`` for the rows where ``den > tol``."""
+        keep = den > tol
+        self.records.append((name, num[keep] / den[keep]))
+
+    def block(self, describe: Callable[[int, object], tuple[str, dict]]) -> _Block:
+        keys = self.keys
+        return _Block(
+            np.array(self.lhs, dtype=float).T.ravel(),
+            np.array(self.rhs, dtype=float).T.ravel(),
+            lambda k: describe(k // len(keys), keys[k % len(keys)]),
+            self.records,
+        )
+
+
+def _per_sample(body):
+    """Block worker running ``body(n, i) -> [(label, lhs, rhs, payload fields)]``
+    sample by sample, for the suites whose solvers take one matrix at a time."""
+
+    def worker(n, indices):
+        cases = [case for i in indices for case in body(n, i)]
+        return _Block([c[1] for c in cases], [c[2] for c in cases], lambda k: (cases[k][0], cases[k][3]))
+
+    return worker
+
+
+# ---------------------------------------------------------------------------
+# suite workers
 
 
 def _holder(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
     triples = ((2.0, 2.0, 1.0), (3.0, 1.5, 1.0), (4.0, 4.0, 2.0))
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "holder", n, i)
-        a = sampling.ginibre(rng, n)
-        b = sampling.ginibre(rng, n)
+    def worker(n, idx):
+        a, b = _stack(_draws(cfg, "holder", n, idx, lambda rng: (sampling.ginibre(rng, n), sampling.ginibre(rng, n))))
         sa, sb, sab = _svals(a), _svals(b), _svals(a @ b)
-        cases = []
+        cases = _Cases()
         for gs, g in gauges:
             for p, q, r in triples:
-                lhs = _conv(g, sab, r)
-                rhs = _conv(g, sa, p) * _conv(g, sb, q)
-                label = f"dim={n} i={i} g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})"
-                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, q=q, r=r, A=a, B=b)))
-        return cases, []
+                cases.add((gs, p, q, r), _conv(g, sab, r), _conv(g, sa, p) * _conv(g, sb, q))
+
+        def describe(j, key):
+            gs, p, q, r = key
+            label = f"dim={n} i={idx[j]} g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})"
+            return label, dict(dim=n, index=idx[j], gauge=gs, p=p, q=q, r=r, A=a[j], B=b[j])
+
+        return cases.block(describe)
 
     return worker
 
@@ -156,21 +274,20 @@ def _holder(cfg: SuiteConfig):
 def _ideal(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "ideal", n, i)
-        a = sampling.ginibre(rng, n)
-        b = sampling.ginibre(rng, n)
-        c = sampling.ginibre(rng, n)
+    def worker(n, idx):
+        a, b, c = _stack(_draws(cfg, "ideal", n, idx, lambda rng: tuple(sampling.ginibre(rng, n) for _ in range(3))))
         sb = _svals(b)
         sabc = _svals(a @ b @ c)
-        opa = _svals(a)[0]
-        opc = _svals(c)[0]
-        cases = []
+        opa = _svals(a)[:, 0]
+        opc = _svals(c)[:, 0]
+        cases = _Cases()
         for gs, g in gauges:
-            lhs = eval_gauge(g, sabc)
-            rhs = opa * eval_gauge(g, sb) * opc
-            cases.append((f"dim={n} i={i} g={gs}", lhs, rhs, _payload(dim=n, index=i, gauge=gs, A=a, B=b, C=c)))
-        return cases, []
+            cases.add(gs, eval_gauge_rows(g, sabc), opa * eval_gauge_rows(g, sb) * opc)
+
+        def describe(j, gs):
+            return f"dim={n} i={idx[j]} g={gs}", dict(dim=n, index=idx[j], gauge=gs, A=a[j], B=b[j], C=c[j])
+
+        return cases.block(describe)
 
     return worker
 
@@ -178,18 +295,22 @@ def _ideal(cfg: SuiteConfig):
 def _contraction_transfer(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "contraction_transfer", n, i)
-        z = sampling.ginibre(rng, n)
-        mix = sampling.ucptp_mixture(rng, n)
-        w = sampling.apply_mixture(mix, z)
+    def worker(n, idx):
+        def draw(rng):
+            z = sampling.ginibre(rng, n)
+            mix = sampling.ucptp_mixture(rng, n)
+            return z, sampling.apply_mixture(mix, z), mix[0]
+
+        z, w, weights = _stack(_draws(cfg, "contraction_transfer", n, idx, draw))
         sz, sw = _svals(z), _svals(w)
-        cases = []
+        cases = _Cases()
         for gs, g in gauges:
-            lhs = eval_gauge(g, sw)
-            rhs = eval_gauge(g, sz)
-            cases.append((f"dim={n} i={i} g={gs}", lhs, rhs, _payload(dim=n, index=i, gauge=gs, z=z, weights=list(map(float, mix[0])))))
-        return cases, []
+            cases.add(gs, eval_gauge_rows(g, sw), eval_gauge_rows(g, sz))
+
+        def describe(j, gs):
+            return f"dim={n} i={idx[j]} g={gs}", dict(dim=n, index=idx[j], gauge=gs, z=z[j], weights=list(map(float, weights[j])))
+
+        return cases.block(describe)
 
     return worker
 
@@ -197,60 +318,77 @@ def _contraction_transfer(cfg: SuiteConfig):
 def _fan_dominance(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "fan_dominance", n, i)
-        b = sampling.ginibre(rng, n)
-        sb = _svals(b)
-        variant = int(rng.integers(3))
-        if variant == 0:
-            sa = _desc(sb * rng.uniform(0.0, 1.0, size=n))
-        elif variant == 1:
-            # average over random permutations: doubly stochastic mixing
-            acc = np.zeros(n)
-            for _ in range(3):
-                acc += sb[rng.permutation(n)]
-            sa = _desc(acc / 3.0)
-        else:
-            sa = sb * float(rng.uniform(0.2, 1.0))
-        # defensive: partial-sum dominance must hold by construction
-        if np.any(np.cumsum(sa) > np.cumsum(sb) + 1e-12):
-            return [], []
-        cases = []
+    def worker(n, idx):
+        def draw(rng):
+            b = sampling.ginibre(rng, n)
+            variant = int(rng.integers(3))
+            if variant == 0:
+                mix = rng.uniform(0.0, 1.0, size=n)
+            elif variant == 1:
+                mix = [rng.permutation(n) for _ in range(3)]
+            else:
+                mix = float(rng.uniform(0.2, 1.0))
+            return b, variant, mix
+
+        draws = _draws(cfg, "fan_dominance", n, idx, draw)
+        sbs = _svals(np.stack([b for b, _, _ in draws]))
+        rows = []  # (index, variant, sa, sb) of the samples kept
+        for i, (_, variant, mix), sb in zip(idx, draws, sbs):
+            if variant == 0:
+                sa = _desc(sb * mix)
+            elif variant == 1:
+                # average over random permutations: doubly stochastic mixing
+                acc = np.zeros(n)
+                for perm in mix:
+                    acc += sb[perm]
+                sa = _desc(acc / 3.0)
+            else:
+                sa = sb * mix
+            # defensive: partial-sum dominance must hold by construction
+            if not np.any(np.cumsum(sa) > np.cumsum(sb) + 1e-12):
+                rows.append((i, variant, sa, sb))
+        if not rows:
+            return _EMPTY
+        sa_rows = np.array([r[2] for r in rows])
+        sb_rows = np.array([r[3] for r in rows])
+        cases = _Cases()
         for gs, g in gauges:
-            lhs = eval_gauge(g, sa)
-            rhs = eval_gauge(g, sb)
-            cases.append(
-                (
-                    f"dim={n} i={i} g={gs} variant={variant}",
-                    lhs,
-                    rhs,
-                    _payload(dim=n, index=i, gauge=gs, variant=variant, sa=list(map(float, sa)), sb=list(map(float, sb))),
-                )
-            )
-        return cases, []
+            cases.add(gs, eval_gauge_rows(g, sa_rows), eval_gauge_rows(g, sb_rows))
+
+        def describe(j, gs):
+            i, variant, sa, sb = rows[j]
+            payload = dict(dim=n, index=i, gauge=gs, variant=variant, sa=list(map(float, sa)), sb=list(map(float, sb)))
+            return f"dim={n} i={i} g={gs} variant={variant}", payload
+
+        return cases.block(describe)
 
     return worker
+
+
+def _psd_pair(cfg: SuiteConfig, suite: str, n: int, idx: range):
+    return _stack(_draws(cfg, suite, n, idx, lambda rng: (sampling.psd(rng, n), sampling.psd(rng, n))))
 
 
 def _lemma41(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma41", n, i)
-        x = sampling.psd(rng, n)
-        y = sampling.psd(rng, n)
+    def worker(n, idx):
+        x, y = _psd_pair(cfg, "lemma41", n, idx)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         sdiff = _habs(x - y)
-        cases = []
+        cases = _Cases()
         for p in cfg.p_grid:
             spow = _habs(_power(lx, wx, p) - _power(ly, wy, p))
+            sdiff_p = _pow_desc(sdiff, p)
             for gs, g in gauges:
-                lhs = eval_gauge(g, sdiff**p)
-                rhs = eval_gauge(g, spow)
-                label = f"dim={n} i={i} g={gs} p={_fmt(p)}"
-                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y)))
-        return cases, []
+                cases.add((gs, p), eval_gauge_rows(g, sdiff_p), eval_gauge_rows(g, spow))
+
+        def describe(j, key):
+            gs, p = key
+            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)}", dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], y=y[j])
+
+        return cases.block(describe)
 
     return worker
 
@@ -259,26 +397,26 @@ def _lemma42(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
     thetas = (0.25, 0.5, 0.75, 1.0)
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma42", n, i)
-        x = sampling.psd(rng, n)
-        y = sampling.psd(rng, n)
+    def worker(n, idx):
+        x, y = _psd_pair(cfg, "lemma42", n, idx)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         lxd, lyd = _desc(lx), _desc(ly)
         sdiff = _habs(x - y)
-        cases = []
+        cases = _Cases()
         for theta in thetas:
             q = 1.0 + theta
             sq = _habs(_power(lx, wx, q) - _power(ly, wy, q))
             for gs, g in gauges:
-                nd = _conv(g, sdiff, q)
-                nmax = max(_conv(g, lxd, q), _conv(g, lyd, q))
-                lhs = eval_gauge(g, sq)
-                rhs = 3.0 * nd * nmax**theta
-                label = f"dim={n} i={i} g={gs} theta={theta}"
-                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, theta=theta, x=x, y=y)))
-        return cases, []
+                nd = _conv_desc(g, sdiff, q)
+                nmax = np.maximum(_conv_desc(g, lxd, q), _conv_desc(g, lyd, q))
+                cases.add((gs, theta), eval_gauge_rows(g, sq), 3.0 * nd * _spow(nmax, theta))
+
+        def describe(j, key):
+            gs, theta = key
+            return f"dim={n} i={idx[j]} g={gs} theta={theta}", dict(dim=n, index=idx[j], gauge=gs, theta=theta, x=x[j], y=y[j])
+
+        return cases.block(describe)
 
     return worker
 
@@ -286,25 +424,25 @@ def _lemma42(cfg: SuiteConfig):
 def _cor43(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "cor43", n, i)
-        x = sampling.psd(rng, n)
-        y = sampling.psd(rng, n)
+    def worker(n, idx):
+        x, y = _psd_pair(cfg, "cor43", n, idx)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         lxd, lyd = _desc(lx), _desc(ly)
         sdiff = _habs(x - y)
-        cases = []
+        cases = _Cases()
         for p in cfg.p_grid:
             spow = _habs(_power(lx, wx, p) - _power(ly, wy, p))
             for gs, g in gauges:
-                nd = _conv(g, sdiff, p)
-                nmax = max(_conv(g, lxd, p), _conv(g, lyd, p))
-                lhs = eval_gauge(g, spow)
-                rhs = 3.0 * p * nd * nmax ** (p - 1.0)
-                label = f"dim={n} i={i} g={gs} p={_fmt(p)}"
-                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y)))
-        return cases, []
+                nd = _conv_desc(g, sdiff, p)
+                nmax = np.maximum(_conv_desc(g, lxd, p), _conv_desc(g, lyd, p))
+                cases.add((gs, p), eval_gauge_rows(g, spow), 3.0 * p * nd * _spow(nmax, p - 1.0))
+
+        def describe(j, key):
+            gs, p = key
+            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)}", dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], y=y[j])
+
+        return cases.block(describe)
 
     return worker
 
@@ -312,34 +450,41 @@ def _cor43(cfg: SuiteConfig):
 def _lemma44(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma44", n, i)
-        variant = int(rng.integers(3))
-        if variant == 2 and n >= 2:
-            m = n // 2
-            x = np.zeros((n, n), dtype=complex)
-            x[:m, :m] = sampling.psd(rng, m)
-            x[m : 2 * m, m : 2 * m] = sampling.psd(rng, m)
-        else:
-            x = sampling.psd(rng, n)
-        b = _contraction(rng, n, variant)
+    def worker(n, idx):
+        def draw(rng):
+            variant = int(rng.integers(3))
+            if variant == 2 and n >= 2:
+                m = n // 2
+                x = np.zeros((n, n), dtype=complex)
+                x[:m, :m] = sampling.psd(rng, m)
+                x[m : 2 * m, m : 2 * m] = sampling.psd(rng, m)
+            else:
+                x = sampling.psd(rng, n)
+            return variant, x, _contraction(rng, n, variant)
+
+        draws = _draws(cfg, "lemma44", n, idx, draw)
+        x = np.stack([d[1] for d in draws])
+        b = _contractions([d[2] for d in draws])
         lx, wx = _eigh_clip(x)
         lxd = _desc(lx)
         s1 = _svals(x @ b - b @ x)
-        cases = []
+        cases = _Cases()
         for p in cfg.p_grid:
             xp = _power(lx, wx, p)
             scp = _svals(xp @ b - b @ xp)
             for gs, g in gauges:
-                lhs1 = _conv(g, s1, p)
-                rhs1 = 4.0 * 2.0 ** (1.0 / p) * eval_gauge(g, scp) ** (1.0 / p)
-                lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
-                pay = _payload(dim=n, index=i, gauge=gs, p=p, variant=variant, x=x, b=b)
-                cases.append((f"{lbl} first", lhs1, rhs1, pay))
-                lhs2 = eval_gauge(g, scp)
-                rhs2 = 24.0 * p * _conv(g, lxd, p) ** (p - 1.0) * _conv(g, s1, p)
-                cases.append((f"{lbl} second", lhs2, rhs2, pay))
-        return cases, []
+                conv_s1 = _conv(g, s1, p)
+                gauge_scp = eval_gauge_rows(g, scp)
+                cases.add((gs, p, "first"), conv_s1, 4.0 * 2.0 ** (1.0 / p) * _spow(gauge_scp, 1.0 / p))
+                rhs2 = 24.0 * p * _spow(_conv_desc(g, lxd, p), p - 1.0) * conv_s1
+                cases.add((gs, p, "second"), gauge_scp, rhs2)
+
+        def describe(j, key):
+            gs, p, part = key
+            payload = dict(dim=n, index=idx[j], gauge=gs, p=p, variant=draws[j][0], x=x[j], b=b[j])
+            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)} {part}", payload
+
+        return cases.block(describe)
 
     return worker
 
@@ -347,39 +492,42 @@ def _lemma44(cfg: SuiteConfig):
 def _lemma45(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma45", n, i)
-        x = sampling.psd(rng, n)
-        y = x if int(rng.integers(2)) == 1 else sampling.psd(rng, n)
-        b = _contraction(rng, n, int(rng.integers(3)))
-        opb = _svals(b)[0]
+    def worker(n, idx):
+        def draw(rng):
+            x = sampling.psd(rng, n)
+            y = x if int(rng.integers(2)) == 1 else sampling.psd(rng, n)
+            return x, y, _contraction(rng, n, int(rng.integers(3)))
+
+        draws = _draws(cfg, "lemma45", n, idx, draw)
+        x, y = _stack([d[:2] for d in draws])
+        b = _contractions([d[2] for d in draws])
+        opb = _svals(b)[:, 0]
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         lxd, lyd = _desc(lx), _desc(ly)
-        lboth = _desc(np.concatenate([lx, ly]))
+        lboth = _desc(np.concatenate([lx, ly], axis=-1))
         s0 = _svals(x @ b + b @ y)
-        cases = []
-        records = []
+        cases = _Cases()
         for p in cfg.p_grid:
-            m1 = _power(lx, wx, p) @ b + b @ _power(ly, wy, p)
-            sm1 = _svals(m1)
+            sm1 = _svals(_power(lx, wx, p) @ b + b @ _power(ly, wy, p))
             for gs, g in gauges:
                 n0 = _conv(g, s0, p)
-                nboth = _conv(g, lboth, p)
-                lhs1 = eval_gauge(g, sm1)
-                rhs1 = 3.0 * nboth ** (p - 1.0) * n0
-                lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
-                pay = _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y, b=b)
-                cases.append((f"{lbl} first", lhs1, rhs1, pay))
-                shape = 3.0 * max(_conv(g, lxd, p), _conv(g, lyd, p)) ** (p - 1.0) * n0
-                if shape > cfg.abs_tol:
-                    records.append(("first_vs_max_shape", lhs1 / shape))
-                rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * eval_gauge(g, sm1) ** (1.0 / p)
+                lhs1 = eval_gauge_rows(g, sm1)
+                cases.add((gs, p, "first"), lhs1, 3.0 * _spow(_conv_desc(g, lboth, p), p - 1.0) * n0)
+                nmax = np.maximum(_conv_desc(g, lxd, p), _conv_desc(g, lyd, p))
+                cases.record("first_vs_max_shape", lhs1, 3.0 * _spow(nmax, p - 1.0) * n0, cfg.abs_tol)
+                rhs2 = 2.0 ** (1.0 - 1.0 / p) * _spow(opb, 1.0 - 1.0 / p) * _spow(lhs1, 1.0 / p)
                 if p >= 3.0:
-                    cases.append((f"{lbl} second", n0, rhs2, pay))
-                elif p > 1.0 and rhs2 > cfg.abs_tol:
-                    records.append(("second_below_p3", n0 / rhs2))
-        return cases, records
+                    cases.add((gs, p, "second"), n0, rhs2)
+                elif p > 1.0:
+                    cases.record("second_below_p3", n0, rhs2, cfg.abs_tol)
+
+        def describe(j, key):
+            gs, p, part = key
+            payload = dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], y=y[j], b=b[j])
+            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)} {part}", payload
+
+        return cases.block(describe)
 
     return worker
 
@@ -388,25 +536,29 @@ def _schur(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "schur", n, i)
-        a = sampling.psd(rng, n)
-        b = sampling.psd(rng, n)
-        xmat = sampling.ginibre(rng, n)
+    def worker(n, idx):
+        def draw(rng):
+            return sampling.psd(rng, n), sampling.psd(rng, n), sampling.ginibre(rng, n)
+
+        a, b, xmat = _stack(_draws(cfg, "schur", n, idx, draw))
         la, wa = _eigh_clip(a)
         lb, wb = _eigh_clip(b)
         sref = _svals(a @ xmat + xmat @ b)
-        cases = []
+        ref = {gs: eval_gauge_rows(g, sref) for gs, g in gauges}
+        cases = _Cases()
         for alpha in alphas:
             left = _power(la, wa, 1.0 - alpha) @ xmat @ _power(lb, wb, alpha)
             right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
             sm = _svals(left + right)
             for gs, g in gauges:
-                lhs = eval_gauge(g, sm)
-                rhs = eval_gauge(g, sref)
-                label = f"dim={n} i={i} g={gs} alpha={alpha}"
-                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, alpha=alpha, A=a, B=b, X=xmat)))
-        return cases, []
+                cases.add((gs, alpha), eval_gauge_rows(g, sm), ref[gs])
+
+        def describe(j, key):
+            gs, alpha = key
+            payload = dict(dim=n, index=idx[j], gauge=gs, alpha=alpha, A=a[j], B=b[j], X=xmat[j])
+            return f"dim={n} i={idx[j]} g={gs} alpha={alpha}", payload
+
+        return cases.block(describe)
 
     return worker
 
@@ -414,36 +566,37 @@ def _schur(cfg: SuiteConfig):
 def _lemma47(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
-    def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma47", n, i)
-        x = sampling.hermitian(rng, n)
-        b = _contraction(rng, n, int(rng.integers(3)))
+    def worker(n, idx):
+        draws = _draws(cfg, "lemma47", n, idx, lambda rng: (sampling.hermitian(rng, n), _contraction(rng, n, int(rng.integers(3)))))
+        x = np.stack([d[0] for d in draws])
+        b = _contractions([d[1] for d in draws])
         e, wx = np.linalg.eigh(x)
         eabs = _desc(np.abs(e))
         s1 = _svals(x @ b - b @ x)
-        cases = []
-        records = []
+        cases = _Cases()
         for p in cfg.p_grid:
-            gp = (wx * (np.sign(e) * np.abs(e) ** p)) @ wx.conj().T
+            gp = (wx * (np.sign(e) * np.abs(e) ** p)[..., None, :]) @ _adj(wx)
             scp = _svals(gp @ b - b @ gp)
             cp = 8.0 * 2.0 ** (1.0 / p) + 2.0 ** (2.0 - 1.0 / p)
             for gs, g in gauges:
-                lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
+                gauge_scp = eval_gauge_rows(g, scp)
                 if p >= 3.0:
-                    lhs = _conv(g, s1, p)
-                    rhs = cp * eval_gauge(g, scp) ** (1.0 / p)
-                    cases.append((lbl, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, b=b)))
+                    cases.add((gs, p), _conv(g, s1, p), cp * _spow(gauge_scp, 1.0 / p))
                 if p > 1.0:
-                    denom = _conv(g, eabs, p) ** (p - 1.0) * _conv(g, s1, p)
-                    if denom > cfg.abs_tol:
-                        records.append(("forward_free_constant", eval_gauge(g, scp) / denom))
-        return cases, records
+                    denom = _spow(_conv_desc(g, eabs, p), p - 1.0) * _conv(g, s1, p)
+                    cases.record("forward_free_constant", gauge_scp, denom, cfg.abs_tol)
+
+        def describe(j, key):
+            gs, p = key
+            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)}", dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], b=b[j])
+
+        return cases.block(describe)
 
     return worker
 
 
 def _entropy_props(cfg: SuiteConfig):
-    def worker(n, i):
+    def body(n, i):
         rng = sampling.make_rng(cfg.seed, "entropy_props", n, i)
         rho = sampling.state(rng, n)
         sig = sampling.psd(rng, n)
@@ -460,21 +613,20 @@ def _entropy_props(cfg: SuiteConfig):
         mix_s = sum(w * s for w, s in zip(lam, sigs))
         d_mix = rel_entropy(mix_r, mix_s)
         d_sum = float(sum(w * rel_entropy(r, s) for w, r, s in zip(lam, rhos, sigs)))
-        pay = _payload(dim=n, index=i, rho=rho, sigma=sig, c=c)
-        cases = [
+        pay = dict(dim=n, index=i, rho=rho, sigma=sig, c=c)
+        return [
             (f"dim={n} i={i} monotone", d_mono, d0, pay),
             (f"dim={n} i={i} scaling", abs(d_scaled - d0 + math.log(c)), 0.0, pay),
             (f"dim={n} i={i} convexity", d_mix, d_sum, pay),
         ]
-        return cases, []
 
-    return worker
+    return _per_sample(body)
 
 
 def _lemma53(cfg: SuiteConfig):
     eps_grid = (0.5, 0.1, 0.01)
 
-    def worker(n, i):
+    def body(n, i):
         rng = sampling.make_rng(cfg.seed, "lemma53", n, i)
         a = sampling.psd(rng, n)
         b = sampling.psd(rng, n)
@@ -483,11 +635,10 @@ def _lemma53(cfg: SuiteConfig):
             diff = _psd_log(a + eps * b) - _psd_log(b + eps * a)
             lhs = float(_habs(diff)[0])
             rhs = -math.log(eps)
-            label = f"dim={n} i={i} eps={eps}"
-            cases.append((label, lhs, rhs, _payload(dim=n, index=i, eps=eps, A=a, B=b)))
-        return cases, []
+            cases.append((f"dim={n} i={i} eps={eps}", lhs, rhs, dict(dim=n, index=i, eps=eps, A=a, B=b)))
+        return cases
 
-    return worker
+    return _per_sample(body)
 
 
 def _smooth_convex_gauges(cfg: SuiteConfig):
@@ -497,7 +648,7 @@ def _smooth_convex_gauges(cfg: SuiteConfig):
 def _lemma54(cfg: SuiteConfig):
     gauges = _smooth_convex_gauges(cfg)
 
-    def worker(n, i):
+    def body(n, i):
         rng = sampling.make_rng(cfg.seed, "lemma54", n, i)
         rho1 = sampling.state(rng, n)
         other = sampling.state(rng, n)
@@ -511,17 +662,16 @@ def _lemma54(cfg: SuiteConfig):
             mean_vals = _desc(np.clip(np.linalg.eigvalsh(0.5 * (f1 + f2)), 0.0, None))
             lhs = 1.0 - math.sqrt(dist)
             rhs = eval_gauge(g, mean_vals)
-            label = f"dim={n} i={i} g={gs}"
-            cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, rho1=rho1, rho2=rho2, dist=dist)))
-        return cases, []
+            cases.append((f"dim={n} i={i} g={gs}", lhs, rhs, dict(dim=n, index=i, gauge=gs, rho1=rho1, rho2=rho2, dist=dist)))
+        return cases
 
-    return worker
+    return _per_sample(body)
 
 
 def _roundtrip(cfg: SuiteConfig):
     gauges = _smooth_convex_gauges(cfg)
 
-    def worker(n, i):
+    def body(n, i):
         rng = sampling.make_rng(cfg.seed, "roundtrip", n, i)
         rho = sampling.state(rng, n)
         # spectra kept away from zero: the map-then-minimize direction feeds
@@ -545,56 +695,32 @@ def _roundtrip(cfg: SuiteConfig):
 
             rep = entropy_min_mat(g, rho)
             back = norming_state(g, rep.minimizer)
-            cases.append(
-                (
-                    f"{lbl} state-roundtrip",
-                    _l1_herm(back - rho),
-                    _STATE_SIDE_TOL,
-                    _payload(dim=n, index=i, gauge=gs, rho=rho),
-                )
-            )
+            cases.append((f"{lbl} state-roundtrip", _l1_herm(back - rho), _STATE_SIDE_TOL, dict(dim=n, index=i, gauge=gs, rho=rho)))
 
             rho_a = norming_state(g, psd_unit)
             back_a = entropy_min_mat(g, rho_a).minimizer
-            cases.append(
-                (
-                    f"{lbl} sphere-roundtrip",
-                    _l1_herm(back_a - psd_unit),
-                    _SPHERE_SIDE_TOL,
-                    _payload(dim=n, index=i, gauge=gs, A=psd_unit),
-                )
-            )
+            cases.append((f"{lbl} sphere-roundtrip", _l1_herm(back_a - psd_unit), _SPHERE_SIDE_TOL, dict(dim=n, index=i, gauge=gs, A=psd_unit)))
 
             rho_b = norming_state(g, general_unit)
             back_b = entropy_min_general(g, rho_b)
             cases.append(
-                (
-                    f"{lbl} sphere-roundtrip-general",
-                    _l1_gen(back_b - general_unit),
-                    _SPHERE_SIDE_TOL,
-                    _payload(dim=n, index=i, gauge=gs, A=general_unit),
-                )
+                (f"{lbl} sphere-roundtrip-general", _l1_gen(back_b - general_unit), _SPHERE_SIDE_TOL, dict(dim=n, index=i, gauge=gs, A=general_unit))
             )
 
             f_gen = entropy_min_general(g, general_trace)
             back_t = norming_state(g, f_gen)
             cases.append(
-                (
-                    f"{lbl} state-roundtrip-general",
-                    _l1_gen(back_t - general_trace),
-                    _STATE_SIDE_TOL,
-                    _payload(dim=n, index=i, gauge=gs, A=general_trace),
-                )
+                (f"{lbl} state-roundtrip-general", _l1_gen(back_t - general_trace), _STATE_SIDE_TOL, dict(dim=n, index=i, gauge=gs, A=general_trace))
             )
-        return cases, []
+        return cases
 
-    return worker
+    return _per_sample(body)
 
 
 def _mazur_entropy(cfg: SuiteConfig):
     ps = tuple(p for p in cfg.p_grid)
 
-    def worker(n, i):
+    def body(n, i):
         rng = sampling.make_rng(cfg.seed, "mazur_entropy", n, i)
         rho = sampling.state(rng, n)
         cases = []
@@ -602,12 +728,10 @@ def _mazur_entropy(cfg: SuiteConfig):
             g = Lp(p)
             f = entropy_min_mat(g, rho).minimizer
             root = mazur_inverse(MazurParams(Lp(1.0), p), rho)
-            lhs = _l1_herm(f - root)
-            label = f"dim={n} i={i} p={_fmt(p)}"
-            cases.append((label, lhs, _STATE_SIDE_TOL, _payload(dim=n, index=i, p=p, rho=rho)))
-        return cases, []
+            cases.append((f"dim={n} i={i} p={_fmt(p)}", _l1_herm(f - root), _STATE_SIDE_TOL, dict(dim=n, index=i, p=p, rho=rho)))
+        return cases
 
-    return worker
+    return _per_sample(body)
 
 
 _SUITES = {
@@ -636,6 +760,19 @@ SUITE_NAMES = tuple(_SUITES)
 CORE_SUITE_NAMES = tuple(s for s in SUITE_NAMES if s not in ("roundtrip", "mazur_entropy"))
 
 
+def _violation(cfg: SuiteConfig, lhs: float, rhs: float, label: str, fields: dict) -> Violation:
+    ratio = lhs / max(rhs, cfg.abs_tol) if cfg.abs_tol > 0 else lhs / max(rhs, 1e-300)
+    if not math.isfinite(ratio):
+        ratio = 1e308
+    return Violation(
+        case=label,
+        lhs=lhs if math.isfinite(lhs) else 1e308,
+        rhs=rhs if math.isfinite(rhs) else 1e308,
+        ratio=ratio,
+        payload=_payload(fields),
+    )
+
+
 def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> SuiteReport:
     """Run one registered suite; the report is independent of ``threads``."""
     try:
@@ -643,38 +780,37 @@ def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> Suite
     except KeyError:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}") from None
     worker = factory(cfg)
-    jobs = [(n, i) for n in cfg.dims for i in range(cfg.samples_per_case)]
+    count = cfg.samples_per_case
+    jobs = [(n, range(lo, min(lo + _BLOCK_SAMPLES, count))) for n in cfg.dims for lo in range(0, count, _BLOCK_SAMPLES)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: worker(*job), jobs, chunksize=16))
-    else:
-        results = [worker(*job) for job in jobs]
+            return _merge(name, cfg, pool.map(lambda job: worker(*job), jobs))
+    return _merge(name, cfg, (worker(*job) for job in jobs))
 
+
+def _merge(name: str, cfg: SuiteConfig, blocks) -> SuiteReport:
+    """Fold blocks, in index order, into the report.
+
+    IEEE division, multiplication, addition and max give the same bits on
+    arrays as on one case at a time, so the result does not depend on how
+    the cases were cut into blocks.
+    """
     cases_run = 0
     worst = 0.0
     violations = []
     recorded: dict[str, float] = {}
-    for cases, records in results:
-        for label, lhs, rhs, payload_fn in cases:
-            cases_run += 1
-            if math.isfinite(lhs) and math.isfinite(rhs) and rhs > cfg.abs_tol:
-                worst = max(worst, lhs / rhs)
-            if lhs > rhs * (1.0 + cfg.rel_tol) + cfg.abs_tol:
-                ratio = lhs / max(rhs, cfg.abs_tol) if cfg.abs_tol > 0 else lhs / max(rhs, 1e-300)
-                if not math.isfinite(ratio):
-                    ratio = 1e308
-                violations.append(
-                    Violation(
-                        case=label,
-                        lhs=lhs if math.isfinite(lhs) else 1e308,
-                        rhs=rhs if math.isfinite(rhs) else 1e308,
-                        ratio=ratio,
-                        payload=payload_fn() if payload_fn else {},
-                    )
-                )
-        for key, value in records:
-            if math.isfinite(value):
-                recorded[key] = max(recorded.get(key, 0.0), value)
+    for block in blocks:
+        lhs, rhs = block.lhs, block.rhs
+        cases_run += lhs.size
+        ok = np.isfinite(lhs) & np.isfinite(rhs) & (rhs > cfg.abs_tol)
+        if ok.any():
+            worst = max(worst, float((lhs[ok] / rhs[ok]).max()))
+        for k in np.flatnonzero(lhs > rhs * (1.0 + cfg.rel_tol) + cfg.abs_tol).tolist():
+            violations.append(_violation(cfg, float(lhs[k]), float(rhs[k]), *block.describe(k)))
+        for key, values in block.records:
+            values = values[np.isfinite(values)]
+            if values.size:
+                recorded[key] = max(recorded.get(key, 0.0), float(values.max()))
     return SuiteReport(
         suite_name=name,
         config=cfg,

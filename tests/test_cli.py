@@ -265,6 +265,15 @@ def test_verify_rerun_and_threads_byte_identical(tmp_path):
         assert (outs[2] / name).read_bytes() == ref, name
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    out = tmp_path / "reports"
+    argv = ["verify", "holder", "--dims", "2", "--samples", "1", "--threads", threads, "--out", str(out), *TS]
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_dims_parse_error(tmp_path):
     assert main(["verify", "ideal", "--dims", "2,x"]) == 2
     assert main(["verify", "ideal", "--dims", "2,99"]) == 4  # beyond the dimension bound

@@ -24,11 +24,12 @@ from spectral_mazur import (
     dual_gauge,
     duality_map_seq,
     eval_gauge,
+    eval_gauge_rows,
     format_gauge,
     parse_gauge,
 )
 from spectral_mazur import gauge as gauge_mod
-from spectral_mazur.errors import GaugeParseError, NotSmooth, ZeroVector
+from spectral_mazur.errors import GaugeParseError, NotSmooth, NumericalFailure, ZeroVector
 
 # descriptors whose evaluation reduces to a closed form
 CLOSED_GAUGES = (
@@ -277,24 +278,71 @@ def test_non_descriptors_rejected(call):
         call()
 
 
+def _rows_cases(seed: int, n: int) -> np.ndarray:
+    """Signed rows of mixed scale, a zero row and rows scaled to 1e300 and 1e-300."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(6, n)) * 10.0 ** rng.uniform(-3, 3, size=(6, 1))
+    return np.vstack([rows, np.zeros((1, n)), rows / np.abs(rows).max() * 1e300, rows * 1e-300])
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 60.0, math.inf])
 def test_eval_rows_matches_eval_gauge_lp(p):
-    rng = np.random.default_rng(8)
-    rows = np.abs(rng.normal(size=(6, 5)))
-    rows = np.vstack([rows, np.zeros((1, 5)), rows * 1e300, rows * 1e-300, [[0.0, 0.0, 2.0, 0.0, 0.0]]])
-    got = gauge_mod._eval_rows(Lp(p), rows)
-    expect = np.array([eval_gauge(Lp(p), row) for row in rows])
-    assert got.shape == expect.shape and got[6] == 0.0
-    assert np.all(np.abs(got - expect) <= 1e-15 * expect), p
+    rows = np.vstack([_rows_cases(8, 5), [[0.0, 0.0, 2.0, 0.0, 0.0]]])
+    got = eval_gauge_rows(Lp(p), rows)
+    assert got.tolist() == [eval_gauge(Lp(p), row) for row in rows], p
+    assert got[6] == 0.0
 
 
 def test_eval_rows_falls_back_to_eval():
-    rng = np.random.default_rng(9)
-    rows = np.vstack([np.abs(rng.normal(size=(6, 3))), np.zeros((1, 3))])
-    for s in ("kyfan:2", "conv:2:kyfan:2", "dual:kyfan:2"):
-        c = gauge_mod._canonical_form(parse_gauge(s))
-        got = gauge_mod._eval_rows(c, rows)
-        assert got.tolist() == [eval_gauge(c, row) for row in rows], s
+    # Dual of a convexified Ky Fan norm has no closed form: row by row
+    rows = np.abs(_rows_cases(9, 3)[:2])
+    g = parse_gauge("dual:conv:2:kyfan:2")
+    assert eval_gauge_rows(g, rows).tolist() == [eval_gauge(g, row) for row in rows]
+
+
+ROW_GAUGES = (
+    "lp:1",
+    "lp:1.5",
+    "lp:2",
+    "lp:4",
+    "lp:6",
+    "lp:60",
+    "lp:inf",
+    "kyfan:1",
+    "kyfan:2",
+    "kyfan:40",
+    "conv:2:kyfan:2",
+    "dual:kyfan:2",
+    "conv:3:lp:2",
+    "conv:2:dual:kyfan:3",
+)
+
+
+@pytest.mark.parametrize("s", ROW_GAUGES)
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17])
+def test_eval_gauge_rows_equals_eval_gauge_exactly(s, n):
+    g = parse_gauge(s)
+    rows = _rows_cases(n, n)
+    desc = np.sort(np.abs(rows), axis=1)[:, ::-1]  # the suites pass descending views
+    for a in (rows, desc):
+        got = eval_gauge_rows(g, a)
+        assert got.shape == (len(a),)
+        assert got.tolist() == [eval_gauge(g, row) for row in a]
+    assert eval_gauge_rows(g, rows)[6] == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eval_gauge_rows_rejects_non_finite(bad):
+    rows = np.ones((3, 4))
+    rows[2, 1] = bad
+    with pytest.raises(NumericalFailure):
+        eval_gauge_rows(Lp(2.0), rows)
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 3), (3, 0), (2, 2, 2)])
+def test_eval_gauge_rows_rejects_bad_shapes(shape):
+    with pytest.raises(GaugeParseError):
+        eval_gauge_rows(Lp(2.0), np.ones(shape))
 
 
 def test_overflow_safe_evaluation():

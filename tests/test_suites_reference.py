@@ -1,0 +1,370 @@
+"""Block workers against the per-sample workers they replaced.
+
+The reference below is the one-sample-at-a-time form of six suites and of
+the case loop that merged them, kept as it was before the workers were
+batched per block.  It was chosen for the layouts that are easy to get wrong
+when batching: ``holder`` (plain stacks), ``fan_dominance`` (its defensive
+skip drops samples), ``lemma41`` (``_desc(v) ** p``, which numpy powers with
+its scalar loop), ``lemma44`` (the block-diagonal ``x`` of variant 2 at odd
+n), and ``lemma45``/``lemma47`` (conditional cases and recorded maxima).
+Reports must be byte-identical, at default tolerances and at zero
+tolerances, where round-off ties become violations with labels and payloads.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from spectral_mazur import SuiteConfig, eval_gauge, run_inequality_suite
+from spectral_mazur.verify import dumps_json, sampling
+from spectral_mazur.verify import suites as suites_mod
+from spectral_mazur.verify.config import SuiteReport, Violation
+from spectral_mazur.matnorm import matrix_to_json
+
+# ---------------------------------------------------------------------------
+# the per-sample reference
+
+
+def _desc(v):
+    return np.sort(np.asarray(v, dtype=float))[::-1]
+
+
+def _svals(m):
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _habs(h):
+    return _desc(np.abs(np.linalg.eigvalsh(h)))
+
+
+def _eigh_clip(m):
+    lam, w = np.linalg.eigh(m)
+    return np.clip(lam, 0.0, None), w
+
+
+def _power(lam, w, p):
+    return (w * lam**p) @ w.conj().T
+
+
+def _conv(g, s_desc, p):
+    return eval_gauge(g, s_desc**p) ** (1.0 / p)
+
+
+def _contraction(rng, n, variant):
+    if variant == 2 and n >= 2:
+        m = n // 2
+        b = np.zeros((n, n), dtype=complex)
+        b[:m, m : 2 * m] = np.eye(m)
+        return b
+    if variant == 1:
+        h = sampling.hermitian(rng, n)
+        return h / _svals(h)[0]
+    g = sampling.ginibre(rng, n)
+    return g / _svals(g)[0]
+
+
+def _payload(**kw):
+    def build():
+        out = {}
+        for key, value in kw.items():
+            if isinstance(value, np.ndarray):
+                out[key] = matrix_to_json(value)
+            elif isinstance(value, (np.floating, np.integer)):
+                out[key] = float(value)
+            else:
+                out[key] = value
+        return out
+
+    return build
+
+
+def _fmt(x):
+    return str(int(x)) if float(x) == int(x) else repr(float(x))
+
+
+def _holder(cfg):
+    gauges = cfg.parsed_gauges()
+    triples = ((2.0, 2.0, 1.0), (3.0, 1.5, 1.0), (4.0, 4.0, 2.0))
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "holder", n, i)
+        a = sampling.ginibre(rng, n)
+        b = sampling.ginibre(rng, n)
+        sa, sb, sab = _svals(a), _svals(b), _svals(a @ b)
+        cases = []
+        for gs, g in gauges:
+            for p, q, r in triples:
+                lhs = _conv(g, sab, r)
+                rhs = _conv(g, sa, p) * _conv(g, sb, q)
+                label = f"dim={n} i={i} g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})"
+                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, q=q, r=r, A=a, B=b)))
+        return cases, []
+
+    return worker
+
+
+def _fan_dominance(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "fan_dominance", n, i)
+        b = sampling.ginibre(rng, n)
+        sb = _svals(b)
+        variant = int(rng.integers(3))
+        if variant == 0:
+            sa = _desc(sb * rng.uniform(0.0, 1.0, size=n))
+        elif variant == 1:
+            acc = np.zeros(n)
+            for _ in range(3):
+                acc += sb[rng.permutation(n)]
+            sa = _desc(acc / 3.0)
+        else:
+            sa = sb * float(rng.uniform(0.2, 1.0))
+        if np.any(np.cumsum(sa) > np.cumsum(sb) + 1e-12):
+            return [], []
+        cases = []
+        for gs, g in gauges:
+            lhs = eval_gauge(g, sa)
+            rhs = eval_gauge(g, sb)
+            payload = _payload(dim=n, index=i, gauge=gs, variant=variant, sa=list(map(float, sa)), sb=list(map(float, sb)))
+            cases.append((f"dim={n} i={i} g={gs} variant={variant}", lhs, rhs, payload))
+        return cases, []
+
+    return worker
+
+
+def _lemma41(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma41", n, i)
+        x = sampling.psd(rng, n)
+        y = sampling.psd(rng, n)
+        lx, wx = _eigh_clip(x)
+        ly, wy = _eigh_clip(y)
+        sdiff = _habs(x - y)
+        cases = []
+        for p in cfg.p_grid:
+            spow = _habs(_power(lx, wx, p) - _power(ly, wy, p))
+            for gs, g in gauges:
+                lhs = eval_gauge(g, sdiff**p)
+                rhs = eval_gauge(g, spow)
+                label = f"dim={n} i={i} g={gs} p={_fmt(p)}"
+                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y)))
+        return cases, []
+
+    return worker
+
+
+def _lemma44(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma44", n, i)
+        variant = int(rng.integers(3))
+        if variant == 2 and n >= 2:
+            m = n // 2
+            x = np.zeros((n, n), dtype=complex)
+            x[:m, :m] = sampling.psd(rng, m)
+            x[m : 2 * m, m : 2 * m] = sampling.psd(rng, m)
+        else:
+            x = sampling.psd(rng, n)
+        b = _contraction(rng, n, variant)
+        lx, wx = _eigh_clip(x)
+        lxd = _desc(lx)
+        s1 = _svals(x @ b - b @ x)
+        cases = []
+        for p in cfg.p_grid:
+            xp = _power(lx, wx, p)
+            scp = _svals(xp @ b - b @ xp)
+            for gs, g in gauges:
+                lhs1 = _conv(g, s1, p)
+                rhs1 = 4.0 * 2.0 ** (1.0 / p) * eval_gauge(g, scp) ** (1.0 / p)
+                lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
+                pay = _payload(dim=n, index=i, gauge=gs, p=p, variant=variant, x=x, b=b)
+                cases.append((f"{lbl} first", lhs1, rhs1, pay))
+                lhs2 = eval_gauge(g, scp)
+                rhs2 = 24.0 * p * _conv(g, lxd, p) ** (p - 1.0) * _conv(g, s1, p)
+                cases.append((f"{lbl} second", lhs2, rhs2, pay))
+        return cases, []
+
+    return worker
+
+
+def _lemma45(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma45", n, i)
+        x = sampling.psd(rng, n)
+        y = x if int(rng.integers(2)) == 1 else sampling.psd(rng, n)
+        b = _contraction(rng, n, int(rng.integers(3)))
+        opb = _svals(b)[0]
+        lx, wx = _eigh_clip(x)
+        ly, wy = _eigh_clip(y)
+        lxd, lyd = _desc(lx), _desc(ly)
+        lboth = _desc(np.concatenate([lx, ly]))
+        s0 = _svals(x @ b + b @ y)
+        cases = []
+        records = []
+        for p in cfg.p_grid:
+            m1 = _power(lx, wx, p) @ b + b @ _power(ly, wy, p)
+            sm1 = _svals(m1)
+            for gs, g in gauges:
+                n0 = _conv(g, s0, p)
+                nboth = _conv(g, lboth, p)
+                lhs1 = eval_gauge(g, sm1)
+                rhs1 = 3.0 * nboth ** (p - 1.0) * n0
+                lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
+                pay = _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y, b=b)
+                cases.append((f"{lbl} first", lhs1, rhs1, pay))
+                shape = 3.0 * max(_conv(g, lxd, p), _conv(g, lyd, p)) ** (p - 1.0) * n0
+                if shape > cfg.abs_tol:
+                    records.append(("first_vs_max_shape", lhs1 / shape))
+                rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * eval_gauge(g, sm1) ** (1.0 / p)
+                if p >= 3.0:
+                    cases.append((f"{lbl} second", n0, rhs2, pay))
+                elif p > 1.0 and rhs2 > cfg.abs_tol:
+                    records.append(("second_below_p3", n0 / rhs2))
+        return cases, records
+
+    return worker
+
+
+def _lemma47(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma47", n, i)
+        x = sampling.hermitian(rng, n)
+        b = _contraction(rng, n, int(rng.integers(3)))
+        e, wx = np.linalg.eigh(x)
+        eabs = _desc(np.abs(e))
+        s1 = _svals(x @ b - b @ x)
+        cases = []
+        records = []
+        for p in cfg.p_grid:
+            gp = (wx * (np.sign(e) * np.abs(e) ** p)) @ wx.conj().T
+            scp = _svals(gp @ b - b @ gp)
+            cp = 8.0 * 2.0 ** (1.0 / p) + 2.0 ** (2.0 - 1.0 / p)
+            for gs, g in gauges:
+                lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
+                if p >= 3.0:
+                    lhs = _conv(g, s1, p)
+                    rhs = cp * eval_gauge(g, scp) ** (1.0 / p)
+                    cases.append((lbl, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, b=b)))
+                if p > 1.0:
+                    denom = _conv(g, eabs, p) ** (p - 1.0) * _conv(g, s1, p)
+                    if denom > cfg.abs_tol:
+                        records.append(("forward_free_constant", eval_gauge(g, scp) / denom))
+        return cases, records
+
+    return worker
+
+
+REFERENCE = {
+    "holder": _holder,
+    "fan_dominance": _fan_dominance,
+    "lemma41": _lemma41,
+    "lemma44": _lemma44,
+    "lemma45": _lemma45,
+    "lemma47": _lemma47,
+}
+
+
+def _reference_report(name, cfg):
+    worker = REFERENCE[name](cfg)
+    cases_run = 0
+    worst = 0.0
+    violations = []
+    recorded = {}
+    for n in cfg.dims:
+        for i in range(cfg.samples_per_case):
+            cases, records = worker(n, i)
+            for label, lhs, rhs, payload_fn in cases:
+                cases_run += 1
+                if math.isfinite(lhs) and math.isfinite(rhs) and rhs > cfg.abs_tol:
+                    worst = max(worst, lhs / rhs)
+                if lhs > rhs * (1.0 + cfg.rel_tol) + cfg.abs_tol:
+                    ratio = lhs / max(rhs, cfg.abs_tol) if cfg.abs_tol > 0 else lhs / max(rhs, 1e-300)
+                    if not math.isfinite(ratio):
+                        ratio = 1e308
+                    violations.append(
+                        Violation(
+                            case=label,
+                            lhs=lhs if math.isfinite(lhs) else 1e308,
+                            rhs=rhs if math.isfinite(rhs) else 1e308,
+                            ratio=ratio,
+                            payload=payload_fn(),
+                        )
+                    )
+            for key, value in records:
+                if math.isfinite(value):
+                    recorded[key] = max(recorded.get(key, 0.0), value)
+    return SuiteReport(name, cfg, cases_run, tuple(violations), worst, not violations, recorded)
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+
+DIMS = (1, 2, 3, 5, 16)
+# zero tolerances turn round-off ties into violations; 2.0 and 1e3 make the
+# ``rhs > abs_tol`` and ``denominator > abs_tol`` guards drop cases and records
+CONFIGS = {
+    (seed, tol): SuiteConfig(seed=seed, dims=DIMS, samples_per_case=9, rel_tol=tol, abs_tol=tol)
+    for seed, tol in ((1, 0.0), (2, 0.0), (1, 1e-10), (2, 1e-10), (1, 2.0), (2, 1e3))
+}
+
+
+def _assert_reference_bytes(monkeypatch, name, cfg):
+    want = dumps_json(_reference_report(name, cfg).to_json())
+    for block in (1, 7, suites_mod._BLOCK_SAMPLES):
+        monkeypatch.setattr(suites_mod, "_BLOCK_SAMPLES", block)
+        for threads in (1, 4):
+            got = dumps_json(run_inequality_suite(name, cfg, threads=threads).to_json())
+            assert got == want, (block, threads)
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+@pytest.mark.parametrize("seed,tol", sorted(CONFIGS))
+def test_block_workers_give_the_reference_report_bytes(monkeypatch, name, seed, tol):
+    _assert_reference_bytes(monkeypatch, name, CONFIGS[seed, tol])
+
+
+def test_zero_tolerances_produce_violations_to_compare():
+    # round-off ties at zero tolerance exercise labels and payloads
+    for name in ("holder", "fan_dominance", "lemma41", "lemma45"):
+        assert _reference_report(name, CONFIGS[1, 0.0]).violations, name
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_every_case_equals_the_reference_case(name):
+    # the report keeps only the worst ratio of passing cases, so compare
+    # each case's label and both sides bit for bit
+    cfg = CONFIGS[2, 1e-10]
+    reference, blocks = REFERENCE[name](cfg), suites_mod._SUITES[name](cfg)
+    for n in DIMS:
+        want = [c[:3] for i in range(cfg.samples_per_case) for c in reference(n, i)[0]]
+        block = blocks(n, range(cfg.samples_per_case))
+        got = [(block.describe(k)[0], lhs, rhs) for k, (lhs, rhs) in enumerate(zip(block.lhs.tolist(), block.rhs.tolist()))]
+        assert got == want, n
+
+
+class _Wide(np.random.Generator):
+    """Uniform draws stretched by 2, so that some fan_dominance samples fail
+    partial-sum dominance and are skipped."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return 2.0 * super().uniform(low, high, size)
+
+
+def test_fan_dominance_skips_samples_like_the_reference(monkeypatch):
+    make_rng = sampling.make_rng
+    monkeypatch.setattr(sampling, "make_rng", lambda *key: _Wide(make_rng(*key).bit_generator))
+    cfg = CONFIGS[1, 1e-10]
+    text = _assert_reference_bytes(monkeypatch, "fan_dominance", cfg)
+    full = len(DIMS) * cfg.samples_per_case * len(cfg.gauges)
+    assert 0 < json.loads(text)["cases_run"] < full

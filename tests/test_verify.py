@@ -13,9 +13,11 @@ from spectral_mazur import (
     parse_gauge,
     run_inequality_suite,
 )
-from spectral_mazur.errors import ConfigError, DimensionTooLarge, UnknownSuite
+from spectral_mazur.cli import main
+from spectral_mazur.errors import ConfigError, DimensionTooLarge, NumericalFailure, UnknownSuite
 from spectral_mazur.verify import CORE_SUITE_NAMES, dumps_json, gen_random, make_rng
 from spectral_mazur.verify import sampling
+from spectral_mazur.verify import suites as suites_mod
 
 SMALL = SuiteConfig(seed=1, dims=(2, 3), samples_per_case=6)
 
@@ -151,6 +153,29 @@ def test_zero_tolerance_flags_floating_point_ties():
     assert payload["x"]["dim"] == 3
     text = dumps_json(rep.to_json())  # violations must serialize cleanly
     assert "violations" in text
+
+
+@pytest.mark.parametrize(
+    "name,helper",
+    [("holder", "_svals"), ("fan_dominance", "_svals"), ("lemma41", "_habs"), ("lemma44", "_svals"), ("schur", "_svals"), ("lemma47", "_svals")],
+)
+def test_non_finite_spectrum_stops_the_run(monkeypatch, tmp_path, capsys, name, helper):
+    # a NaN case would pass silently (lhs > rhs is False for NaN), so one NaN
+    # spectrum row in a block must raise, as per-sample evaluation did
+    spectra = getattr(suites_mod, helper)
+
+    def poisoned(m):
+        s = np.array(spectra(m))
+        if s.ndim == 2 and len(s) > 1:
+            s[1, -1] = np.nan  # the smallest value: column 0 scales the contractions
+        return s
+
+    monkeypatch.setattr(suites_mod, helper, poisoned)
+    with pytest.raises(NumericalFailure):
+        run_inequality_suite(name, SMALL)
+    out = tmp_path / "reports"
+    assert main(["verify", name, "--dims", "3", "--samples", "3", "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_recorded_diagnostics_present():
