@@ -151,15 +151,17 @@ def _build_config(args) -> SuiteConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help=f"random seed (default: ${_ENV_SEED} or 1)")
-    common.add_argument("--dims", type=str, default=None, help="comma-separated matrix dimensions")
-    common.add_argument("--samples", type=int, default=None, help="random samples per (suite, dimension)")
-    common.add_argument("--rel-tol", type=float, default=None, help="relative tolerance for inequality checks")
-    common.add_argument("--abs-tol", type=float, default=None, help="absolute tolerance for inequality checks")
-    common.add_argument("--threads", type=int, default=1, help="worker threads (never affects results)")
-    common.add_argument("--out", type=str, default=None, help="output file, directory, or base path")
-    common.add_argument("--timestamp", type=str, default=None, help="pin the manifest timestamp (for reproducible artifacts)")
+    # each subcommand is offered only the flags it reads, so that an unread
+    # flag is a usage error rather than silently ignored
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--seed", type=int, default=None, help=f"random seed (default: ${_ENV_SEED} or 1)")
+    sampled.add_argument("--dims", type=str, default=None, help="comma-separated matrix dimensions")
+    sampled.add_argument("--samples", type=int, default=None, help="random samples per (suite, dimension)")
+    sampled.add_argument("--rel-tol", type=float, default=None, help="relative tolerance for inequality checks")
+    sampled.add_argument("--abs-tol", type=float, default=None, help="absolute tolerance for inequality checks")
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--out", type=str, default=None, help="output file, directory, or base path")
+    written.add_argument("--timestamp", type=str, default=None, help="pin the manifest timestamp (for reproducible artifacts)")
 
     parser = argparse.ArgumentParser(
         prog="spectral-mazur",
@@ -168,11 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_norm = sub.add_parser("norm", parents=[common], help="evaluate a unitarily invariant norm")
+    p_norm = sub.add_parser("norm", help="evaluate a unitarily invariant norm")
     p_norm.add_argument("matrix", help="path to a matrix JSON file")
     p_norm.add_argument("--gauge", required=True, help="gauge descriptor, e.g. lp:2, kyfan:3, conv:2:lp:1, dual:lp:3")
 
-    p_map = sub.add_parser("map", parents=[common], help="apply a sphere map to a matrix")
+    p_map = sub.add_parser("map", parents=[written], help="apply a sphere map to a matrix")
     p_map.add_argument("kind", choices=("mazur", "mazur-inv", "entropy-min", "gmap"))
     p_map.add_argument("matrix", help="path to a matrix JSON file")
     p_map.add_argument("--gauge", required=True, help="gauge descriptor")
@@ -183,11 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rescale the input onto the map's domain sphere first",
     )
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p_verify = sub.add_parser("verify", parents=[sampled, written], help="run verification suites")
     p_verify.add_argument("suite", help=f"suite name or 'all'; suites: {', '.join(SUITE_NAMES)}")
     p_verify.add_argument("--config", type=str, default=None, help="JSON file with a base suite configuration")
+    p_verify.add_argument("--threads", type=int, default=1, help="worker threads (never affects results)")
 
-    p_mod = sub.add_parser("modulus", parents=[common], help="profile a map's modulus of continuity")
+    p_mod = sub.add_parser("modulus", parents=[sampled, written], help="profile a map's modulus of continuity")
     p_mod.add_argument("map", choices=MAP_NAMES)
     p_mod.add_argument("--gauge", required=True, help="gauge descriptor")
     p_mod.add_argument("--p", type=float, default=None, help="exponent for the power maps")

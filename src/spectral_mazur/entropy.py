@@ -54,6 +54,10 @@ from .gauge import (
 )
 from .matnorm import (
     _EPS,
+    _adj,
+    _as_matrices,
+    _eigh_psd,
+    _first,
     _is_psd,
     as_matrix,
     eigh_psd,
@@ -83,45 +87,68 @@ def check_state(rho) -> tuple[np.ndarray, np.ndarray]:
     :func:`spectral_mazur.matnorm.eigh_psd`, unit trace within 1e-12.
     Eigenvalues come back ascending, clipped to ``[0, inf)``.
     """
-    m = as_matrix(rho)
-    scale = max(float(np.abs(m).max()), 1.0)
-    if np.abs(m - m.conj().T).max() > 1e-12 * scale:
+    return _check_states(as_matrix(rho))
+
+
+def _check_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_state` of a validated matrix or stack, each matrix checked
+    against its own scale."""
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    if (np.abs(m - _adj(m)).max(axis=(-2, -1)) > 1e-12 * scale).any():
         raise NotState("density matrix must be Hermitian")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-12:
-        raise NotState(f"density matrix must have unit trace, got {tr!r}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > 1e-12
+    if off.any():
+        raise NotState(f"density matrix must have unit trace, got {_first(tr, off)!r}")
     try:
-        lam, w = eigh_psd(m)
+        return _eigh_psd(m)
     except NotPositive as exc:
         raise NotState(f"density matrix must be PSD: {exc}") from exc
-    return lam, w
 
 
-def rel_entropy(rho, sigma) -> float:
+def rel_entropy(rho, sigma) -> float | np.ndarray:
     """``D(rho ‖ sigma)`` with the support convention.
 
     ``sigma`` only needs to be Hermitian PSD (not normalized).  Returns
     ``math.inf`` when ``tr[rho (I - P_sigma)] > 1e-10`` where
     ``P_sigma`` projects onto eigenvalues above ``n * eps * lam_max(sigma)``.
+
+    ``rho`` and ``sigma`` may also be stacks ``(..., n, n)`` whose leading
+    dimensions broadcast against each other.  The result is then an array
+    over the broadcast pairs, each entry equal bit for bit to the value of
+    its pair alone, and each matrix is validated and diagonalised once,
+    however many pairs it is in.
     """
-    r, wr = check_state(rho)
-    lam, ws = eigh_psd(sigma)
-    n = lam.size
-    if wr.shape != ws.shape:
+    m = _as_matrices(rho)
+    r, _ = _check_states(m)
+    lam, ws = _eigh_psd(_as_matrices(sigma))
+    n = lam.shape[-1]
+    if r.shape[-1] != n:
         raise NotState("rho and sigma must have equal dimensions")
-    tau = n * _EPS * float(lam[-1])
-    on_support = lam > tau
+    try:
+        shape = np.broadcast_shapes(r.shape[:-1], lam.shape[:-1])
+    except ValueError:
+        raise NotState(f"stacks of {r.shape[:-1]} states and {lam.shape[:-1]} sigmas do not broadcast") from None
     # diagonal of rho in the eigenbasis of sigma
-    mix = ws.conj().T @ as_matrix(rho) @ ws
-    diag = np.clip(np.diag(mix).real, 0.0, None)
-    leak = float(diag[~on_support].sum())
-    if leak > 1e-10:
-        return math.inf
-    tau_r = r.size * _EPS * float(r[-1])
-    pos = r > tau_r
-    term_rho = float(np.sum(r[pos] * np.log(r[pos])))
-    term_sigma = float(np.sum(diag[on_support] * np.log(lam[on_support])))
-    return term_rho - term_sigma
+    diag = np.clip(np.diagonal(_adj(ws) @ m @ ws, axis1=-2, axis2=-1).real, 0.0, None)
+    # the masked sums go row by row: the order in which numpy sums a row
+    # depends on the row's length
+    pos = r > n * _EPS * r[..., -1:]
+    term_rho = np.empty(r.shape[:-1])
+    for k in np.ndindex(term_rho.shape):
+        rk = r[k][pos[k]]
+        term_rho[k] = np.sum(rk * np.log(rk))
+    term_rho = np.broadcast_to(term_rho, shape)
+    lam = np.broadcast_to(lam, shape + (n,))
+    on_support = lam > n * _EPS * lam[..., -1:]
+    out = np.empty(shape)
+    for k in np.ndindex(shape):
+        on = on_support[k]
+        if float(diag[k][~on].sum()) > 1e-10:
+            out[k] = math.inf
+        else:
+            out[k] = term_rho[k] - np.sum(diag[k][on] * np.log(lam[k][on]))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

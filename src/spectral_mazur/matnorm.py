@@ -51,11 +51,29 @@ _EPS = float(np.finfo(np.float64).eps)
 def as_matrix(a) -> np.ndarray:
     """Validate and convert to a square complex matrix."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim != 2:
+        raise MatrixFormatError(f"expected a square matrix, got shape {m.shape}")
+    return _as_matrices(m)
+
+
+def _as_matrices(a) -> np.ndarray:
+    """Validate and convert to a square complex matrix or a stack ``(..., n, n)``."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise MatrixFormatError(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise MatrixFormatError("matrix contains NaN or Inf")
     return m
+
+
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _first(values, mask) -> float:
+    """The first of ``values`` where ``mask`` holds, for an error message."""
+    return float(np.asarray(values)[np.asarray(mask)].flat[0])
 
 
 def singular_values(a) -> np.ndarray:
@@ -125,20 +143,27 @@ def eigh_psd(a) -> tuple[np.ndarray, np.ndarray]:
     negative raises :class:`NotPositive`.  Returns ``(lam, w)`` with ``lam``
     ascending.
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    herm_err = np.abs(m - m.conj().T).max()
-    scale = max(np.abs(m).max(), 1.0)
-    if herm_err > 1e-10 * scale:
-        raise NotPositive(f"matrix is not Hermitian (asymmetry {herm_err:.3e})")
+    return _eigh_psd(as_matrix(a))
+
+
+def _eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigh_psd` of a validated matrix or stack, each matrix checked
+    against its own scale; one ``eigh`` call for the whole stack."""
+    n = m.shape[-1]
+    mh = _adj(m)
+    herm_err = np.abs(m - mh).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    bad = herm_err > 1e-10 * scale
+    if bad.any():
+        raise NotPositive(f"matrix is not Hermitian (asymmetry {_first(herm_err, bad):.3e})")
     try:
-        lam, w = np.linalg.eigh(0.5 * (m + m.conj().T))
+        lam, w = np.linalg.eigh(0.5 * (m + mh))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"eigh failed: {exc}") from exc
-    lam_max = float(lam[-1]) if lam[-1] > 0 else 0.0
-    floor = -n * _EPS * lam_max - 10 * _EPS * scale
-    if lam[0] < floor:
-        raise NotPositive(f"matrix has negative eigenvalue {lam[0]:.3e}")
+    lam_max = np.where(lam[..., -1] > 0, lam[..., -1], 0.0)
+    low = lam[..., 0] < -n * _EPS * lam_max - 10 * _EPS * scale
+    if low.any():
+        raise NotPositive(f"matrix has negative eigenvalue {_first(lam[..., 0], low):.3e}")
     return np.clip(lam, 0.0, None), w
 
 

@@ -330,3 +330,52 @@ def test_modulus_rerun_byte_identical(tmp_path):
     first = (tmp_path / "p.json").read_bytes(), (tmp_path / "p.csv").read_bytes()
     assert main(argv) == 0
     assert ((tmp_path / "p.json").read_bytes(), (tmp_path / "p.csv").read_bytes()) == first
+
+
+# ---------------------------------------------------------------------------
+# flags: each subcommand accepts only the flags it reads
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "3"], ["--dims", "2"], ["--samples", "2"], ["--rel-tol", "0"], ["--abs-tol", "0"], ["--threads", "2"], ["--out", "x.json"], TS, ["--config", "c.json"]],
+)
+def test_norm_rejects_flags_it_does_not_read(mat_file, capsys, flag):
+    path, _ = mat_file
+    assert main(["norm", path, "--gauge", "lp:2", *flag]) == 2
+    err = capsys.readouterr()
+    assert "unrecognized arguments" in err.err and "Traceback" not in err.err
+    assert err.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag", [["--seed", "3"], ["--dims", "2"], ["--samples", "2"], ["--rel-tol", "0"], ["--abs-tol", "0"], ["--threads", "-3"], ["--config", "c.json"]]
+)
+def test_map_rejects_flags_it_does_not_read(state_file, tmp_path, capsys, flag):
+    path, _ = state_file
+    out = tmp_path / "o.json"
+    assert main(["map", "entropy-min", path, "--gauge", "lp:2", "--out", str(out), *TS, *flag]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--threads", "-3"], ["--threads", "2"], ["--config", "c.json"]])
+def test_modulus_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
+    argv = ["modulus", "Gp", "--gauge", "lp:1", "--p", "3", "--dims", "2", "--samples", "2", "--out", str(tmp_path / "x"), *TS]
+    assert main([*argv, *flag]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_each_subcommand_accepts_the_flags_it_reads(mat_file, state_file, tmp_path):
+    matrix, _ = mat_file
+    state, _ = state_file
+    sampled = ["--seed", "2", "--dims", "2", "--samples", "2", "--rel-tol", "1e-9", "--abs-tol", "1e-9"]
+    assert main(["norm", matrix, "--gauge", "lp:2"]) == 0
+    assert main(["map", "entropy-min", state, "--gauge", "lp:2", "--out", str(tmp_path / "m.json"), *TS]) == 0
+    argv = ["modulus", "Gp", "--gauge", "lp:1", "--p", "3", *sampled, "--out", str(tmp_path / "g"), *TS]
+    assert main(argv) == 0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"samples_per_case": 2}))
+    argv = ["verify", "ideal", *sampled, "--threads", "2", "--config", str(config), "--out", str(tmp_path / "v"), *TS]
+    assert main(argv) == 0

@@ -109,6 +109,58 @@ def test_check_state_rejections():
         check_state(np.diag([1.5, -0.5]))  # indefinite
 
 
+def _rand_psd(rng, n, rank=None):
+    g = rng.normal(size=(n, rank or n)) + 1j * rng.normal(size=(n, rank or n))
+    return g @ g.conj().T
+
+
+def test_rel_entropy_on_stacks_equals_each_pair_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 9, 16):
+        rho = np.stack([_rand_state(rng, n) for _ in range(4)])
+        sigma = np.stack([[_rand_psd(rng, n) for _ in range(4)] for _ in range(3)])
+        sigma[0, 1] = _rand_psd(rng, n, rank=max(n - 1, 1))  # a support leak for n > 1
+        sigma[2, 3] = rho[3]  # D(rho || rho) = 0 up to round-off
+        got = rel_entropy(rho, sigma)  # (4,) states broadcast against (3, 4) sigmas
+        assert got.shape == (3, 4)
+        want = [[rel_entropy(rho[j], sigma[k, j]) for j in range(4)] for k in range(3)]
+        assert got.tolist() == want, n
+        assert rel_entropy(rho, sigma[1]).tolist() == want[1]
+
+
+def test_rel_entropy_support_leak_in_a_stack_is_inf():
+    rho = np.stack([np.diag([0.5, 0.5]), np.diag([1.0, 0.0])])
+    sigma = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+    got = rel_entropy(rho, sigma)
+    assert got[0] == math.inf and got[1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad_rho,bad_sigma",
+    [
+        (np.array([[0.5, 0.4], [0.1, 0.5]]), None),  # not Hermitian
+        (np.diag([0.7, 0.7]), None),  # trace 1.4
+        (np.diag([1.5, -0.5]), None),  # not PSD
+        (None, np.eye(3)),  # dimension mismatch
+    ],
+)
+def test_rel_entropy_on_stacks_raises_what_the_pair_raises(bad_rho, bad_sigma):
+    good = np.diag([0.25, 0.75])
+    rho = good if bad_rho is None else bad_rho
+    sigma = np.eye(2) if bad_sigma is None else bad_sigma
+    with pytest.raises(NotState) as single:
+        rel_entropy(rho, sigma)
+    with pytest.raises(NotState) as stacked:
+        rel_entropy(np.stack([good, rho, good]), sigma if bad_sigma is not None else np.stack([np.eye(2)] * 3))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_rel_entropy_rejects_stacks_that_do_not_broadcast():
+    rho = np.stack([np.diag([0.25, 0.75])] * 2)
+    with pytest.raises(NotState):
+        rel_entropy(rho, np.stack([np.eye(2)] * 3))
+
+
 # ---------------------------------------------------------------------------
 # spectrum-level minimization
 

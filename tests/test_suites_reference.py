@@ -1,13 +1,16 @@
 """Block workers against the per-sample workers they replaced.
 
-The reference below is the one-sample-at-a-time form of six suites and of
-the case loop that merged them, kept as it was before the workers were
-batched per block.  It was chosen for the layouts that are easy to get wrong
-when batching: ``holder`` (plain stacks), ``fan_dominance`` (its defensive
-skip drops samples), ``lemma41`` (``_desc(v) ** p``, which numpy powers with
-its scalar loop), ``lemma44`` (the block-diagonal ``x`` of variant 2 at odd
-n), and ``lemma45``/``lemma47`` (conditional cases and recorded maxima).
-Reports must be byte-identical, at default tolerances and at zero
+The reference below is the one-sample-at-a-time form of every suite with a
+block worker, and of the case loop that merged them, kept as it was before
+the workers were batched per block: one ``eval_gauge`` call per gauge and
+spectrum, and one ``rel_entropy`` call per pair (in the per-pair form it
+had then).  The layouts that are easy to get wrong when batching include
+``fan_dominance`` (its defensive skip drops samples), ``lemma41``
+(``_desc(v) ** p``, which numpy powers with its scalar loop), ``lemma44``
+(the block-diagonal ``x`` of variant 2 at odd n), ``lemma45``/``lemma47``
+(conditional cases and recorded maxima, and spectra of two widths),
+``entropy_props`` (row sums over masked spectra) and ``lemma53`` (matrix
+logs).  Reports must be byte-identical, at default tolerances and at zero
 tolerances, where round-off ties become violations with labels and payloads.
 """
 
@@ -17,11 +20,11 @@ import math
 import numpy as np
 import pytest
 
-from spectral_mazur import SuiteConfig, eval_gauge, run_inequality_suite
+from spectral_mazur import SuiteConfig, check_state, eigh_psd, eval_gauge, parse_gauge, run_inequality_suite
 from spectral_mazur.verify import dumps_json, sampling
 from spectral_mazur.verify import suites as suites_mod
 from spectral_mazur.verify.config import SuiteReport, Violation
-from spectral_mazur.matnorm import matrix_to_json
+from spectral_mazur.matnorm import as_matrix, matrix_to_json
 
 # ---------------------------------------------------------------------------
 # the per-sample reference
@@ -84,6 +87,34 @@ def _fmt(x):
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _psd_log(m):
+    lam, w = np.linalg.eigh(m)
+    n = lam.size
+    floor = max(n * _EPS * float(lam[-1]), 1e-300)
+    lam = np.clip(lam, floor, None)
+    return (w * np.log(lam)) @ w.conj().T
+
+
+def _rel_entropy(rho, sigma):
+    r, wr = check_state(rho)
+    lam, ws = eigh_psd(sigma)
+    n = lam.size
+    tau = n * _EPS * float(lam[-1])
+    on_support = lam > tau
+    mix = ws.conj().T @ as_matrix(rho) @ ws
+    diag = np.clip(np.diag(mix).real, 0.0, None)
+    if float(diag[~on_support].sum()) > 1e-10:
+        return math.inf
+    tau_r = r.size * _EPS * float(r[-1])
+    pos = r > tau_r
+    term_rho = float(np.sum(r[pos] * np.log(r[pos])))
+    term_sigma = float(np.sum(diag[on_support] * np.log(lam[on_support])))
+    return term_rho - term_sigma
+
+
 def _holder(cfg):
     gauges = cfg.parsed_gauges()
     triples = ((2.0, 2.0, 1.0), (3.0, 1.5, 1.0), (4.0, 4.0, 2.0))
@@ -100,6 +131,47 @@ def _holder(cfg):
                 rhs = _conv(g, sa, p) * _conv(g, sb, q)
                 label = f"dim={n} i={i} g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})"
                 cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, q=q, r=r, A=a, B=b)))
+        return cases, []
+
+    return worker
+
+
+def _ideal(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "ideal", n, i)
+        a = sampling.ginibre(rng, n)
+        b = sampling.ginibre(rng, n)
+        c = sampling.ginibre(rng, n)
+        sb = _svals(b)
+        sabc = _svals(a @ b @ c)
+        opa = _svals(a)[0]
+        opc = _svals(c)[0]
+        cases = []
+        for gs, g in gauges:
+            lhs = eval_gauge(g, sabc)
+            rhs = opa * eval_gauge(g, sb) * opc
+            cases.append((f"dim={n} i={i} g={gs}", lhs, rhs, _payload(dim=n, index=i, gauge=gs, A=a, B=b, C=c)))
+        return cases, []
+
+    return worker
+
+
+def _contraction_transfer(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "contraction_transfer", n, i)
+        z = sampling.ginibre(rng, n)
+        mix = sampling.ucptp_mixture(rng, n)
+        w = sampling.apply_mixture(mix, z)
+        sz, sw = _svals(z), _svals(w)
+        cases = []
+        for gs, g in gauges:
+            lhs = eval_gauge(g, sw)
+            rhs = eval_gauge(g, sz)
+            cases.append((f"dim={n} i={i} g={gs}", lhs, rhs, _payload(dim=n, index=i, gauge=gs, z=z, weights=list(map(float, mix[0])))))
         return cases, []
 
     return worker
@@ -151,6 +223,60 @@ def _lemma41(cfg):
             for gs, g in gauges:
                 lhs = eval_gauge(g, sdiff**p)
                 rhs = eval_gauge(g, spow)
+                label = f"dim={n} i={i} g={gs} p={_fmt(p)}"
+                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y)))
+        return cases, []
+
+    return worker
+
+
+def _lemma42(cfg):
+    gauges = cfg.parsed_gauges()
+    thetas = (0.25, 0.5, 0.75, 1.0)
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma42", n, i)
+        x = sampling.psd(rng, n)
+        y = sampling.psd(rng, n)
+        lx, wx = _eigh_clip(x)
+        ly, wy = _eigh_clip(y)
+        lxd, lyd = _desc(lx), _desc(ly)
+        sdiff = _habs(x - y)
+        cases = []
+        for theta in thetas:
+            q = 1.0 + theta
+            sq = _habs(_power(lx, wx, q) - _power(ly, wy, q))
+            for gs, g in gauges:
+                nd = _conv(g, sdiff, q)
+                nmax = max(_conv(g, lxd, q), _conv(g, lyd, q))
+                lhs = eval_gauge(g, sq)
+                rhs = 3.0 * nd * nmax**theta
+                label = f"dim={n} i={i} g={gs} theta={theta}"
+                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, theta=theta, x=x, y=y)))
+        return cases, []
+
+    return worker
+
+
+def _cor43(cfg):
+    gauges = cfg.parsed_gauges()
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "cor43", n, i)
+        x = sampling.psd(rng, n)
+        y = sampling.psd(rng, n)
+        lx, wx = _eigh_clip(x)
+        ly, wy = _eigh_clip(y)
+        lxd, lyd = _desc(lx), _desc(ly)
+        sdiff = _habs(x - y)
+        cases = []
+        for p in cfg.p_grid:
+            spow = _habs(_power(lx, wx, p) - _power(ly, wy, p))
+            for gs, g in gauges:
+                nd = _conv(g, sdiff, p)
+                nmax = max(_conv(g, lxd, p), _conv(g, lyd, p))
+                lhs = eval_gauge(g, spow)
+                rhs = 3.0 * p * nd * nmax ** (p - 1.0)
                 label = f"dim={n} i={i} g={gs} p={_fmt(p)}"
                 cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y)))
         return cases, []
@@ -233,6 +359,33 @@ def _lemma45(cfg):
     return worker
 
 
+def _schur(cfg):
+    gauges = cfg.parsed_gauges()
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "schur", n, i)
+        a = sampling.psd(rng, n)
+        b = sampling.psd(rng, n)
+        xmat = sampling.ginibre(rng, n)
+        la, wa = _eigh_clip(a)
+        lb, wb = _eigh_clip(b)
+        sref = _svals(a @ xmat + xmat @ b)
+        cases = []
+        for alpha in alphas:
+            left = _power(la, wa, 1.0 - alpha) @ xmat @ _power(lb, wb, alpha)
+            right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
+            sm = _svals(left + right)
+            for gs, g in gauges:
+                lhs = eval_gauge(g, sm)
+                rhs = eval_gauge(g, sref)
+                label = f"dim={n} i={i} g={gs} alpha={alpha}"
+                cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, alpha=alpha, A=a, B=b, X=xmat)))
+        return cases, []
+
+    return worker
+
+
 def _lemma47(cfg):
     gauges = cfg.parsed_gauges()
 
@@ -264,13 +417,66 @@ def _lemma47(cfg):
     return worker
 
 
+def _entropy_props(cfg):
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "entropy_props", n, i)
+        rho = sampling.state(rng, n)
+        sig = sampling.psd(rng, n)
+        sig2 = sig + sampling.psd(rng, n)
+        c = float(rng.uniform(0.2, 5.0))
+        d0 = _rel_entropy(rho, sig)
+        d_mono = _rel_entropy(rho, sig2)
+        d_scaled = _rel_entropy(rho, c * sig)
+        lam = rng.exponential(size=3)
+        lam = lam / lam.sum()
+        rhos = [sampling.state(rng, n) for _ in range(3)]
+        sigs = [sampling.psd(rng, n) for _ in range(3)]
+        mix_r = sum(w * r for w, r in zip(lam, rhos))
+        mix_s = sum(w * s for w, s in zip(lam, sigs))
+        d_mix = _rel_entropy(mix_r, mix_s)
+        d_sum = float(sum(w * _rel_entropy(r, s) for w, r, s in zip(lam, rhos, sigs)))
+        pay = _payload(dim=n, index=i, rho=rho, sigma=sig, c=c)
+        return [
+            (f"dim={n} i={i} monotone", d_mono, d0, pay),
+            (f"dim={n} i={i} scaling", abs(d_scaled - d0 + math.log(c)), 0.0, pay),
+            (f"dim={n} i={i} convexity", d_mix, d_sum, pay),
+        ], []
+
+    return worker
+
+
+def _lemma53(cfg):
+    eps_grid = (0.5, 0.1, 0.01)
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma53", n, i)
+        a = sampling.psd(rng, n)
+        b = sampling.psd(rng, n)
+        cases = []
+        for eps in eps_grid:
+            diff = _psd_log(a + eps * b) - _psd_log(b + eps * a)
+            lhs = float(_habs(diff)[0])
+            rhs = -math.log(eps)
+            cases.append((f"dim={n} i={i} eps={eps}", lhs, rhs, _payload(dim=n, index=i, eps=eps, A=a, B=b)))
+        return cases, []
+
+    return worker
+
+
 REFERENCE = {
     "holder": _holder,
+    "ideal": _ideal,
+    "contraction_transfer": _contraction_transfer,
     "fan_dominance": _fan_dominance,
     "lemma41": _lemma41,
+    "lemma42": _lemma42,
+    "cor43": _cor43,
     "lemma44": _lemma44,
     "lemma45": _lemma45,
+    "schur": _schur,
     "lemma47": _lemma47,
+    "entropy_props": _entropy_props,
+    "lemma53": _lemma53,
 }
 
 
@@ -368,3 +574,25 @@ def test_fan_dominance_skips_samples_like_the_reference(monkeypatch):
     text = _assert_reference_bytes(monkeypatch, "fan_dominance", cfg)
     full = len(DIMS) * cfg.samples_per_case * len(cfg.gauges)
     assert 0 < json.loads(text)["cases_run"] < full
+
+
+def test_every_block_worker_has_a_reference():
+    assert set(REFERENCE) == set(suites_mod.SUITE_NAMES) - {"lemma54", "roundtrip", "mazur_entropy"}
+
+
+@pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"entropy_props", "lemma53"}))
+def test_a_block_calls_eval_gauge_rows_once_per_canonical_gauge_and_width(monkeypatch, name):
+    calls = []
+    evaluate = suites_mod.eval_gauge_rows
+
+    def counted(g, a):
+        calls.append((g, a.shape[1]))
+        return evaluate(g, a)
+
+    monkeypatch.setattr(suites_mod, "eval_gauge_rows", counted)
+    cfg = SuiteConfig(seed=1, dims=(5,), samples_per_case=12)
+    canonical = {suites_mod._canonical_form(parse_gauge(s)) for s in cfg.gauges}
+    assert len(canonical) < len(cfg.gauges)  # lp:2 and conv:2:lp:1 share one
+    widths = 2 if name == "lemma45" else 1  # lemma45 also gauges x's and y's spectra joined, width 2n
+    suites_mod._SUITES[name](cfg)(5, range(12))
+    assert len(calls) == len(set(calls)) <= len(canonical) * widths

@@ -160,8 +160,8 @@ def test_zero_tolerance_flags_floating_point_ties():
     [("holder", "_svals"), ("fan_dominance", "_svals"), ("lemma41", "_habs"), ("lemma44", "_svals"), ("schur", "_svals"), ("lemma47", "_svals")],
 )
 def test_non_finite_spectrum_stops_the_run(monkeypatch, tmp_path, capsys, name, helper):
-    # a NaN case would pass silently (lhs > rhs is False for NaN), so one NaN
-    # spectrum row in a block must raise, as per-sample evaluation did
+    # one NaN spectrum row in a block must raise where the gauges check
+    # their input, as per-sample evaluation did
     spectra = getattr(suites_mod, helper)
 
     def poisoned(m):
@@ -176,6 +176,28 @@ def test_non_finite_spectrum_stops_the_run(monkeypatch, tmp_path, capsys, name, 
     out = tmp_path / "reports"
     assert main(["verify", name, "--dims", "3", "--samples", "3", "--out", str(out)]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_nan_case_stops_the_run(monkeypatch, tmp_path, capsys, side):
+    # a NaN side compares false both ways, so the case would pass silently;
+    # lemma53 stands in for every suite whose body does not go through
+    # eval_gauge_rows and its finiteness check
+    def factory(cfg):
+        def body(n, i):
+            values = {"lhs": 0.5, "rhs": 1.0, side: float("nan")}
+            return [(f"dim={n} i={i} poisoned", values["lhs"], values["rhs"], dict(dim=n, index=i))]
+
+        return suites_mod._per_sample(body)
+
+    monkeypatch.setitem(suites_mod._SUITES, "lemma53", factory)
+    with pytest.raises(NumericalFailure, match="dim=2 i=0 poisoned"):
+        run_inequality_suite("lemma53", SMALL)
+    out = tmp_path / "reports"
+    assert main(["verify", "lemma53", "--dims", "2", "--samples", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "dim=2 i=0 poisoned" in err and "Traceback" not in err
+    assert not (out / "lemma53.report.json").exists()
 
 
 def test_recorded_diagnostics_present():
