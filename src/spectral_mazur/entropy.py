@@ -20,6 +20,12 @@ residual of that identity is reported and doubles as the distance
 ``A`` to the trace-norm-one matrix ``|J(A)| A``, recovering the input of the
 minimization (the two maps are mutually inverse between the unit spheres).
 
+Each map diagonalises its input once and checks the input's norm on that
+spectrum: ``entropy_min_mat`` by ``check_state`` (or takes the result of an
+earlier ``check_state`` of the same state), ``entropy_min_general`` by the
+polar SVD and the ``eigh`` of the modulus, ``norming_state`` by one ``eigh``
+for PSD input and otherwise by the polar SVD and one ``eigh``.
+
 ``entropy_min_bruteforce`` is a deliberately independent grid-search oracle
 (diagonal states, dimension <= 3) used to cross-check the solver: it calls
 none of the solver's code, and scans each of its grids as one array.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +53,9 @@ from .gauge import (
     Gauge,
     Lp,
     _canonical_form,
+    _duality_map,
+    _eval,
+    _finite,
     dual_gauge,
     duality_map_seq,
     eval_gauge,
@@ -58,13 +68,9 @@ from .matnorm import (
     _as_matrices,
     _eigh_psd,
     _first,
-    _is_psd,
     as_matrix,
-    eigh_psd,
     matrix_to_json,
-    norm_ui,
     polar,
-    trace_norm,
 )
 
 __all__ = [
@@ -80,14 +86,25 @@ __all__ = [
 ]
 
 
+class _CheckedState(NamedTuple):
+    """A density matrix's clamped spectrum and eigenbasis, as validated by
+    :func:`check_state`, which alone builds it."""
+
+    lam: np.ndarray
+    w: np.ndarray
+
+
 def check_state(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate a density matrix; return clamped eigenvalues and eigenbasis.
 
     Hermitian within 1e-12 (relative), PSD within the clamp tolerance of
     :func:`spectral_mazur.matnorm.eigh_psd`, unit trace within 1e-12.
-    Eigenvalues come back ascending, clipped to ``[0, inf)``.
+    Eigenvalues come back ascending, clipped to ``[0, inf)``.  The result
+    unpacks as ``(lam, w)``; passed to :func:`entropy_min_mat` in place of
+    the matrix, it spares that call a second validation and ``eigh``, so a
+    state minimized over several gauges is decomposed once.
     """
-    return _check_states(as_matrix(rho))
+    return _CheckedState(*_check_states(as_matrix(rho)))
 
 
 def _check_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,13 +206,14 @@ def _require_solvable(g: Gauge) -> Gauge:
 _POLISH_ENTRY = 1e-6
 
 
-def _solve_support(g: Gauge, r: np.ndarray, tol: float, max_iter: int):
+def _solve_support(g: Lp, r: np.ndarray, tol: float, max_iter: int):
     """Maximize ``sum r_j log y_j`` over the positive unit sphere of ``g``.
 
-    ``r`` must be strictly positive and sum to 1.  Two phases share the
-    iteration budget.  The global phase is Frank-Wolfe: steps move toward
-    the norming vector of the gradient (via the dual gauge's duality map)
-    with an exact concave line search.  Its ascent slope degrades like the
+    ``g`` is a canonical ``Lp(p)`` with ``1 < p < inf``; ``r`` must be
+    strictly positive and sum to 1.  Two phases share the iteration budget.
+    The global phase is Frank-Wolfe: steps move toward the norming vector
+    of the gradient (via the dual gauge's duality map) with an exact
+    concave line search.  Its ascent slope degrades like the
     *squared* distance to the optimum, so in double precision it cannot be
     driven much below a 1e-8 stationarity residual; once the residual is
     small (or the slope is lost to round-off) a local phase takes over: a
@@ -203,21 +221,25 @@ def _solve_support(g: Gauge, r: np.ndarray, tol: float, max_iter: int):
     identity ``y ∘ J(y) = r``, which is cancellation-free and contracts
     linearly near the optimum with adaptive damping.  Returns
     ``(y, residual, iterations)`` where ``residual = ‖y ∘ J(y) - r‖_1``.
+
+    The loop runs on the gauge arithmetic (``_eval``, ``_duality_map``)
+    with the preconditions of the public functions settled once; each new
+    ``y``, scaled gradient and candidate is checked for NaN or Inf once.
     """
     dual = dual_gauge(g)
-    y = r / eval_gauge(g, r)
+    y = r / _eval(g, np.abs(_finite(r)))
     residual = math.inf
     it = 0
     while it <= max_iter:
-        j = duality_map_seq(g, y)
+        j = _duality_map(g, y)
         residual = float(np.abs(y * j - r).sum())
         if residual <= tol:
             return y, residual, it
         if residual <= _POLISH_ENTRY:
             break
         grad = r / y
-        grad_scaled = grad / grad.max()
-        s = duality_map_seq(dual, grad_scaled) / eval_gauge(dual, grad_scaled)
+        grad_scaled = _finite(grad / grad.max())
+        s = _duality_map(dual, grad_scaled) / _eval(dual, np.abs(grad_scaled))
         d = s - y
         slope0 = float(grad @ d)
         if slope0 <= 0.0:
@@ -226,16 +248,15 @@ def _solve_support(g: Gauge, r: np.ndarray, tol: float, max_iter: int):
         if gamma <= 0.0:
             break
         y = y + gamma * d
-        y = y / eval_gauge(g, y)
+        y = _finite(y / _eval(g, np.abs(y)))
         it += 1
 
     alpha = 0.5
-    j = duality_map_seq(g, y)
+    j = _duality_map(g, y)
     residual = float(np.abs(y * j - r).sum())
     while it <= max_iter and residual > tol and alpha >= 1e-4:
-        cand = y * (r / np.maximum(y * j, 1e-300)) ** alpha
-        cand = cand / eval_gauge(g, cand)
-        jc = duality_map_seq(g, cand)
+        cand = _candidate(g, y, j, r, alpha)
+        jc = _duality_map(g, cand)
         res_c = float(np.abs(cand * jc - r).sum())
         if res_c < residual:
             y, j, residual = cand, jc, res_c
@@ -253,9 +274,8 @@ def _solve_support(g: Gauge, r: np.ndarray, tol: float, max_iter: int):
     for _ in range(15):
         if residual == 0.0:
             break
-        cand = y * (r / np.maximum(y * j, 1e-300)) ** alpha
-        cand = cand / eval_gauge(g, cand)
-        jc = duality_map_seq(g, cand)
+        cand = _candidate(g, y, j, r, alpha)
+        jc = _duality_map(g, cand)
         res_c = float(np.abs(cand * jc - r).sum())
         if res_c < 0.7 * residual:
             y, j, residual = cand, jc, res_c
@@ -263,6 +283,12 @@ def _solve_support(g: Gauge, r: np.ndarray, tol: float, max_iter: int):
         else:
             break
     return y, residual, it
+
+
+def _candidate(g: Lp, y, j, r, alpha):
+    """The damped multiplicative step from ``y``, back on the sphere of ``g``."""
+    cand = y * (r / np.maximum(y * j, 1e-300)) ** alpha
+    return _finite(cand / _eval(g, np.abs(cand)))
 
 
 def _line_search(r, y, d, slope0):
@@ -273,7 +299,7 @@ def _line_search(r, y, d, slope0):
     """
 
     def slope(gamma):
-        return float(np.sum(r * d / (y + gamma * d)))
+        return float((r * d / (y + gamma * d)).sum())
 
     hi_slope = slope(1.0 - 1e-12)
     if hi_slope >= 0.0:
@@ -283,14 +309,14 @@ def _line_search(r, y, d, slope0):
     for _ in range(60):
         gamma = min(max(gamma, lo + 0.1 * (hi - lo)), hi - 0.1 * (hi - lo))
         z = y + gamma * d
-        s = float(np.sum(r * d / z))
+        s = float((r * d / z).sum())
         if abs(s) < 1e-15:
             break
         if s > 0.0:
             lo = gamma
         else:
             hi = gamma
-        curv = float(np.sum(r * (d / z) ** 2))
+        curv = float((r * (d / z) ** 2).sum())
         gamma = gamma + s / curv  # Newton on phi' (phi'' = -curv)
         if hi - lo < 1e-15:
             break
@@ -355,8 +381,12 @@ def entropy_min_mat(
     are safe because the spectral solution is a symmetric function of the
     spectrum (equal inputs get equal outputs, so the basis ambiguity inside
     an eigenspace cancels in the assembled matrix).
+
+    ``rho`` may also be what :func:`check_state` returned for it: that is
+    used as it stands, and gives the same bits as the matrix, which would be
+    validated and diagonalised again.
     """
-    lam, w = check_state(rho)
+    lam, w = rho if isinstance(rho, _CheckedState) else check_state(rho)
     r = lam / lam.sum()
     y, residual, iters = _solve_seq(g, r, tol, max_iter)
     sigma = (w * y) @ w.conj().T
@@ -377,14 +407,15 @@ def entropy_min_general(g: Gauge, a, *, tol: float = 1e-8, max_iter: int = 100_0
     Writes ``a = u |a|`` and returns ``u @ entropy_min_mat(g, |a|)``: the
     modulus is a state (its trace is the trace norm of ``a``), and the
     minimizer's support stays inside the support of ``|a|``, so the partial
-    isometry loses nothing.
+    isometry loses nothing.  The unit trace norm is checked on that trace,
+    so ``a`` costs one SVD (the polar decomposition) and one ``eigh`` (of the
+    modulus, in the minimization).
     """
-    m = as_matrix(a)
-    tn = trace_norm(m)
+    parts = polar(a)
+    tn = float(np.trace(parts.modulus).real)
     if abs(tn - 1.0) > 1e-9:
         raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
-    parts = polar(m)
-    rho = parts.modulus / float(np.trace(parts.modulus).real)
+    rho = parts.modulus / tn
     rep = entropy_min_mat(g, rho, tol=tol, max_iter=max_iter)
     return parts.isometry @ rep.minimizer
 
@@ -395,21 +426,25 @@ def norming_state(g: Gauge, a) -> np.ndarray:
     For PSD ``a`` this is ``J(a) a`` (both factors share an eigenbasis and
     the product has trace ``‖a‖² = 1``); in general ``a = u |a|`` gives
     ``u J(|a|) |a|``.  Inverse of the entropy minimization between spheres.
+
+    ``a`` is diagonalised once: a PSD input by one ``eigh``, any other by the
+    polar SVD and one ``eigh`` of the modulus.  The unit norm is checked on
+    that spectrum, which is the singular values of ``a``.
     """
     m = as_matrix(a)
-    nrm = norm_ui(g, m)
+    try:
+        lam, w = _eigh_psd(m)
+        parts = None
+    except NotPositive:
+        parts = polar(m)
+        lam, w = _eigh_psd(parts.modulus)
+    nrm = eval_gauge(g, lam)
     if abs(nrm - 1.0) > 1e-9:
         raise NotUnitNorm(f"input must have unit gauge norm, got {nrm!r}")
-    if _is_psd(m):
-        lam, w = eigh_psd(m)
-        j = duality_map_seq(g, lam)
-        out = (w * (j * lam)) @ w.conj().T
-        return 0.5 * (out + out.conj().T)
-    parts = polar(m)
-    lam, w = eigh_psd(parts.modulus)
     j = duality_map_seq(g, lam)
     core = (w * (j * lam)) @ w.conj().T
-    return parts.isometry @ (0.5 * (core + core.conj().T))
+    core = 0.5 * (core + core.conj().T)
+    return core if parts is None else parts.isometry @ core
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ form (``lp:2``, ``lp:inf``, ``kyfan:3``, ``conv:2:lp:1``, ``dual:kyfan:2``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -89,6 +89,11 @@ class Lp(Gauge):
     """The little l^p norm, ``p`` in ``[1, inf]``."""
 
     p: float
+    # the exponent whose conjugate ``p`` is, when canonicalisation made this
+    # form from ``Dual(Lp(dual_of))``: the dual of this form is then
+    # ``Lp(dual_of)`` exactly, where conjugating ``p`` again would round.  It
+    # takes no part in equality, hashing or the string form.
+    _dual_of: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_exponent(self.p))
@@ -232,7 +237,7 @@ def _canonical(g: Gauge) -> Gauge:
             return g.base.base._canon
         base = g.base._canon
         if isinstance(base, Lp):
-            return Lp(_conjugate(base.p))
+            return _dual_lp(base)
         return Dual(base)
     raise GaugeParseError(f"not a gauge descriptor: {g!r}")
 
@@ -242,6 +247,14 @@ def _canonical_form(g) -> Gauge:
     if not isinstance(g, Gauge):
         raise GaugeParseError(f"not a gauge descriptor: {g!r}")
     return g._canon
+
+
+def _dual_lp(base: Lp) -> Lp:
+    """``Lp(p')`` for ``base = Lp(p)``, remembering ``p``; a form that was
+    itself conjugated gives back the exponent it came from."""
+    out = Lp(_conjugate(base.p) if base._dual_of is None else base._dual_of)
+    object.__setattr__(out, "_dual_of", base.p)
+    return out
 
 
 def _conjugate(p: float) -> float:
@@ -260,7 +273,12 @@ def _as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise GaugeParseError(f"expected a nonempty 1-d real vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    return _finite(a)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, after checking that it holds no NaN or Inf."""
+    if not np.isfinite(a).all():
         raise NumericalFailure("vector contains NaN or Inf")
     return a
 
@@ -281,7 +299,7 @@ def _eval(c: Gauge, a: np.ndarray) -> float:
         if c.p == 1.0:
             return float(a.sum())
         # scale by the peak so a**p cannot overflow for large p
-        return peak * float(np.sum((a / peak) ** c.p) ** (1.0 / c.p))
+        return peak * float(((a / peak) ** c.p).sum() ** (1.0 / c.p))
     if isinstance(c, KyFan):
         k = min(c.k, a.size)
         return float(np.sort(a)[::-1][:k].sum())
@@ -391,7 +409,8 @@ def dual_gauge(g: Gauge) -> Gauge:
 
     Closed forms are produced where they exist: ``Lp(p) -> Lp(p')`` and
     ``Dual(b) -> b``; ``KyFan(k)`` duals evaluate as
-    ``max(max|v|, sum|v|/k)``.
+    ``max(max|v|, sum|v|/k)``.  Applied twice to ``Lp(p)`` it gives back
+    ``Lp(p)`` exactly, not ``Lp(p'')`` rounded.
     """
     return Dual(g)._canon
 
@@ -420,8 +439,14 @@ def duality_map_seq(g: Gauge, v) -> np.ndarray:
         raise NotSmooth(f"gauge {format_gauge(g)} is not smooth; no duality map")
     if not np.any(a):
         raise ZeroVector("duality map undefined at the zero vector")
+    return _duality_map(c, a)
+
+
+def _duality_map(c: Lp, a: np.ndarray) -> np.ndarray:
+    """:func:`duality_map_seq` of the canonical ``Lp(p)``, ``1 < p < inf``, at a
+    finite nonzero vector; nothing is checked."""
     p = c.p
     peak = float(np.abs(a).max())
     w = np.abs(a) / peak
-    norm_w = float(np.sum(w**p) ** (1.0 / p))
+    norm_w = float((w**p).sum() ** (1.0 / p))
     return np.sign(a) * w ** (p - 1.0) * (norm_w ** (2.0 - p)) * peak

@@ -42,10 +42,17 @@ def make_rng(*key) -> np.random.Generator:
 
 
 def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """iid standard complex Gaussian entries (variance 1 per entry)."""
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-    return (re + 1j * im) / np.sqrt(2.0)
+    """iid standard complex Gaussian entries (variance 1 per entry).
+
+    One draw of ``2 n^2`` normals: the real parts, then the imaginary parts,
+    in the order (and with the bits) of two ``(n, n)`` draws.
+    """
+    d = rng.standard_normal((2, n, n))
+    z = np.empty((n, n), dtype=np.complex128)
+    z.real = d[0]
+    z.imag = d[1]
+    z /= np.sqrt(2.0)
+    return z
 
 
 def hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

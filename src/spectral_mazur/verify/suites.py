@@ -17,9 +17,11 @@ them with one ``eval_gauge_rows`` call per canonical gauge and width.  Per
 matrix and per row these give the same bits as one call per sample.
 ``lemma54``, ``roundtrip`` and ``mazur_entropy`` still run sample by sample,
 because their solvers take one matrix at a time; they solve once per
-canonical gauge.  Blocks are merged in index order, which keeps cases and
-violations in sample order, so the report bytes do not depend on the number
-of threads.
+canonical gauge (or exponent), and each sampled state is validated and
+diagonalised once by ``check_state``, whose result every solve of that state
+takes in place of the matrix.  Blocks are merged in index order, which keeps
+cases and violations in sample order, so the report bytes do not depend on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..entropy import entropy_min_general, entropy_min_mat, norming_state, rel_entropy
+from ..entropy import check_state, entropy_min_general, entropy_min_mat, norming_state, rel_entropy
 from ..errors import NumericalFailure, UnknownSuite
 from ..gauge import Lp, _canonical_form, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, _adj, matrix_to_json
@@ -726,10 +728,11 @@ def _lemma54(cfg: SuiteConfig):
         rho2 = (1.0 - t) * rho1 + t * other
         dist = _l1_herm(rho1 - rho2)
         lhs = 1.0 - math.sqrt(dist)
+        st1, st2 = check_state(rho1), check_state(rho2)
 
         def solve(g):
-            f1 = entropy_min_mat(g, rho1, tol=1e-8).minimizer
-            f2 = entropy_min_mat(g, rho2, tol=1e-8).minimizer
+            f1 = entropy_min_mat(g, st1, tol=1e-8).minimizer
+            f2 = entropy_min_mat(g, st2, tol=1e-8).minimizer
             return eval_gauge(g, _desc(np.clip(np.linalg.eigvalsh(0.5 * (f1 + f2)), 0.0, None)))
 
         return [
@@ -758,6 +761,7 @@ def _roundtrip(cfg: SuiteConfig):
         general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
         u3 = sampling.unitary(rng, n)
         v3 = sampling.unitary(rng, n)
+        st = check_state(rho)
 
         def solve(g):
             """``(part, lhs, rhs, payload fields)`` of the four round trips."""
@@ -765,7 +769,7 @@ def _roundtrip(cfg: SuiteConfig):
             psd_unit = (frame * unit) @ frame.conj().T
             psd_unit = 0.5 * (psd_unit + psd_unit.conj().T)
             general_unit = u3 @ np.diag(unit).astype(complex) @ v3
-            back = norming_state(g, entropy_min_mat(g, rho).minimizer)
+            back = norming_state(g, entropy_min_mat(g, st).minimizer)
             back_a = entropy_min_mat(g, norming_state(g, psd_unit)).minimizer
             back_b = entropy_min_general(g, norming_state(g, general_unit))
             back_t = norming_state(g, entropy_min_general(g, general_trace))
@@ -791,10 +795,11 @@ def _mazur_entropy(cfg: SuiteConfig):
     def body(n, i):
         rng = sampling.make_rng(cfg.seed, "mazur_entropy", n, i)
         rho = sampling.state(rng, n)
+        st = check_state(rho)
         cases = []
         for p in ps:
             g = Lp(p)
-            f = entropy_min_mat(g, rho).minimizer
+            f = entropy_min_mat(g, st).minimizer
             root = mazur_inverse(MazurParams(Lp(1.0), p), rho)
             cases.append((f"dim={n} i={i} p={_fmt(p)}", _l1_herm(f - root), _STATE_SIDE_TOL, dict(dim=n, index=i, p=p, rho=rho)))
         return cases

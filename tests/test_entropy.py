@@ -2,7 +2,9 @@
 
 The solver is cross-checked against three independent routes: the spectral
 closed form for lp gauges (p-th root of the spectrum), a dense grid search
-over the feasible sphere, and random feasible competitors.
+over the feasible sphere, and random feasible competitors.  The maps are
+also compared bit for bit, errors included, with their earlier form in
+``_reference_maps``, which decomposed and validated on every call.
 """
 
 import math
@@ -13,7 +15,9 @@ import pytest
 from spectral_mazur import (
     KyFan,
     Lp,
+    SuiteConfig,
     check_state,
+    eigh_psd,
     entropy_min_bruteforce,
     entropy_min_general,
     entropy_min_mat,
@@ -35,7 +39,12 @@ from spectral_mazur.errors import (
     NotState,
     NotUnitNorm,
     NotUnitTraceNorm,
+    NumericalFailure,
 )
+from spectral_mazur.verify import sampling
+from spectral_mazur.verify import suites as suites_mod
+
+import _reference_maps as ref_maps
 
 SOLVER_GAUGES = ("lp:1.5", "lp:2", "lp:3", "lp:4", "conv:2:lp:1", "conv:3:lp:2", "dual:lp:1.5")
 
@@ -502,3 +511,180 @@ def test_general_roundtrip_non_hermitian():
     assert trace_norm(rho) == pytest.approx(1.0, abs=1e-9)
     back = entropy_min_general(g, rho)
     assert trace_norm(back - a) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the maps against their earlier form: one decomposition per map call and an
+# unchecked solver loop must change no bit and no error
+
+CONTRACT_GAUGES = ("lp:1.5", "lp:2", "lp:4", "conv:3:lp:2", "dual:lp:1.5")
+
+
+def _unit_norm(g, a):
+    return a / eval_gauge(g, np.linalg.svd(a, compute_uv=False))
+
+
+def _map_inputs(rng, n=4):
+    """Matrices of each shape the maps meet, before normalisation."""
+    u, v = _haar(rng, n), _haar(rng, n)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    vals = rng.uniform(0.1, 1.0, size=n)
+    low = vals.copy()
+    low[: n // 2] = 0.0
+    return {
+        "psd": _rand_psd(rng, n),
+        "psd-rank-deficient": _rand_psd(rng, n, rank=2),
+        "hermitian-indefinite": (u * (signs * vals)) @ u.conj().T,
+        "general": rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+        "general-rank-deficient": u @ np.diag(low).astype(complex) @ v,
+    }
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives, in a form that compares bit for bit: the
+    error type it raises, or the bytes of its matrix (and, for a report, its
+    scalar fields)."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    if isinstance(out, EntropyMinReport):
+        return out.minimizer.tobytes(), out.objective, out.fixed_point_residual, out.iterations
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("s", CONTRACT_GAUGES)
+def test_norming_state_equals_its_earlier_form_bit_for_bit(s):
+    g = parse_gauge(s)
+    for kind, a in _map_inputs(np.random.default_rng(50)).items():
+        a = _unit_norm(g, a)
+        want = _outcome(ref_maps.norming_state, g, a)
+        assert isinstance(want, bytes), kind
+        assert _outcome(norming_state, g, a) == want, kind
+
+
+@pytest.mark.parametrize("s", CONTRACT_GAUGES + ("lp:1",))
+def test_entropy_min_general_equals_its_earlier_form_bit_for_bit(s):
+    g = parse_gauge(s)
+    for kind, a in _map_inputs(np.random.default_rng(51)).items():
+        a = a / trace_norm(a)
+        assert _outcome(entropy_min_general, g, a) == _outcome(ref_maps.entropy_min_general, g, a), kind
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("s", CONTRACT_GAUGES + ("lp:1",))
+def test_entropy_min_mat_equals_its_earlier_form_given_a_matrix_or_its_checked_state(s):
+    # the rank-deficient state keeps round-off eigenvalues near 1e-17, on
+    # which the solver fails at lp:1.5 (NumericalFailure, after numpy's
+    # warnings on a zero iterate) as it did before
+    g = parse_gauge(s)
+    rng = np.random.default_rng(52)
+    low = _rand_psd(rng, 5, rank=2)
+    for kind, rho in {"full-rank": _rand_state(rng, 5), "rank-deficient": low / np.trace(low).real}.items():
+        want = _outcome(ref_maps.entropy_min_mat, g, rho)
+        assert _outcome(entropy_min_mat, g, rho) == want, kind
+        assert _outcome(entropy_min_mat, g, check_state(rho)) == want, kind
+
+
+def test_check_state_unpacks_as_spectrum_and_basis():
+    rho = _rand_state(np.random.default_rng(53), 3)
+    state = check_state(rho)
+    lam, w = state
+    assert isinstance(state, tuple) and len(state) == 2
+    want_lam, want_w = eigh_psd(rho)
+    assert _same_bits(lam, want_lam) and _same_bits(w, want_w)
+
+
+def test_the_maps_raise_what_they_raised_before():
+    g = Lp(2.0)
+    inputs = _map_inputs(np.random.default_rng(54))
+    for kind, a in inputs.items():
+        big = 2.0 * _unit_norm(g, a)  # norm 2: not on the unit sphere
+        assert _outcome(norming_state, g, big) is NotUnitNorm, kind
+        assert _outcome(ref_maps.norming_state, g, big) is NotUnitNorm, kind
+        wide = 2.0 * a / trace_norm(a)
+        assert _outcome(entropy_min_general, g, wide) is NotUnitTraceNorm, kind
+        assert _outcome(ref_maps.entropy_min_general, g, wide) is NotUnitTraceNorm, kind
+    kyfan = KyFan(2)
+    for kind in ("psd", "general"):
+        unit = _unit_norm(kyfan, inputs[kind])
+        assert _outcome(norming_state, kyfan, unit) is NotSmooth, kind
+        assert _outcome(ref_maps.norming_state, kyfan, unit) is NotSmooth, kind
+    rho = _rand_state(np.random.default_rng(55), 3)
+    assert _outcome(ref_maps.entropy_min_mat, kyfan, rho) is NotSmooth
+    assert _outcome(entropy_min_mat, kyfan, rho) is NotSmooth
+    assert _outcome(entropy_min_mat, kyfan, check_state(rho)) is NotSmooth
+
+
+def test_a_non_finite_solver_iterate_raises_numerical_failure(monkeypatch):
+    monkeypatch.setattr(entropy_mod, "_line_search", lambda *args: math.nan)
+    with pytest.raises(NumericalFailure, match="NaN or Inf"):
+        entropy_min_seq(Lp(4.0), np.array([0.1, 0.2, 0.7]))
+
+
+class _LinalgCalls:
+    """Counts the LAPACK entry points of ``numpy.linalg`` while installed."""
+
+    NAMES = ("eigh", "eigvalsh", "svd")
+
+    def __init__(self, monkeypatch):
+        self.args = {name: [] for name in self.NAMES}
+        for name in self.NAMES:
+            monkeypatch.setattr(np.linalg, name, self._counted(name, getattr(np.linalg, name)))
+
+    def _counted(self, name, fn):
+        def counted(a, *args, **kwargs):
+            self.args[name].append(np.array(a, copy=True))
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    def counts(self):
+        return {name: len(calls) for name, calls in self.args.items()}
+
+    def reset(self):
+        for calls in self.args.values():
+            calls.clear()
+
+
+def test_each_map_diagonalises_its_input_once(monkeypatch):
+    g = Lp(3.0)
+    inputs = _map_inputs(np.random.default_rng(56))
+    psd, general = _unit_norm(g, inputs["psd"]), _unit_norm(g, inputs["general"])
+    trace_one = inputs["general"] / trace_norm(inputs["general"])
+    calls = _LinalgCalls(monkeypatch)
+    norming_state(g, psd)
+    assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+    calls.reset()
+    norming_state(g, general)
+    assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+    calls.reset()
+    entropy_min_general(g, trace_one)
+    assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+
+
+def _sampled_states(suite, seed, n, i):
+    """The states a sample of ``suite`` draws and minimizes: its first draw,
+    and for ``lemma54`` the mixture ``rho2`` too."""
+    rng = sampling.make_rng(seed, suite, n, i)
+    rho = sampling.state(rng, n)
+    if suite != "lemma54":
+        return [rho]
+    other = sampling.state(rng, n)
+    t = float(rng.uniform(0.0, 0.5))
+    return [rho, (1.0 - t) * rho + t * other]
+
+
+@pytest.mark.parametrize("suite", ["lemma54", "roundtrip", "mazur_entropy"])
+def test_a_suite_sample_diagonalises_each_sampled_state_once(monkeypatch, suite):
+    cfg = SuiteConfig(seed=1, dims=(4,), samples_per_case=1)
+    smooth = {suites_mod._canonical_form(g) for _, g in cfg.parsed_gauges() if g.smooth}
+    assert len(smooth) > 1 and len(cfg.p_grid) > 1  # several solves per state
+    calls = _LinalgCalls(monkeypatch)
+    suites_mod._SUITES[suite](cfg)(4, range(1))
+    for rho in _sampled_states(suite, cfg.seed, 4, 0):
+        assert sum(np.array_equal(a, 0.5 * (rho + rho.conj().T)) for a in calls.args["eigh"]) == 1

@@ -239,6 +239,21 @@ def test_double_dual_of_lp_is_exact(q):
         assert c == Lp(q) and format_gauge(c) == format_gauge(Lp(q)), (wrap, q)
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.5, 7.3, math.inf])
+def test_dual_gauge_applied_twice_is_exact(q):
+    # dual_gauge returns canonical forms; the conjugate remembers the exponent
+    # it came from, so the second application gives q back to the last bit
+    once = dual_gauge(Lp(q))
+    assert once.p == gauge_mod._conjugate(q)  # a single application is unchanged
+    assert once == Lp(gauge_mod._conjugate(q)) and hash(once) == hash(Lp(once.p)) and repr(once) == repr(Lp(once.p))
+    for times in (2, 4):
+        g = Lp(q)
+        for _ in range(times):
+            g = dual_gauge(g)
+        assert g.p == q and format_gauge(g) == format_gauge(Lp(q)), times
+        assert g == Lp(q) and hash(g) == hash(Lp(q)) and repr(g) == repr(Lp(q)), times
+
+
 def test_canonical_form_computed_once(monkeypatch):
     calls = []
     reduce = gauge_mod._canonical

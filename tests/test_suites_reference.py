@@ -14,17 +14,30 @@ logs).  Reports must be byte-identical, at default tolerances and at zero
 tolerances, where round-off ties become violations with labels and payloads.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from spectral_mazur import SuiteConfig, check_state, eigh_psd, eval_gauge, parse_gauge, run_inequality_suite
+from spectral_mazur import (
+    Lp,
+    MazurParams,
+    SuiteConfig,
+    check_state,
+    eigh_psd,
+    eval_gauge,
+    mazur_inverse,
+    parse_gauge,
+    run_inequality_suite,
+)
 from spectral_mazur.verify import dumps_json, sampling
 from spectral_mazur.verify import suites as suites_mod
 from spectral_mazur.verify.config import SuiteReport, Violation
 from spectral_mazur.matnorm import as_matrix, matrix_to_json
+
+import _reference_maps as ref_maps
 
 # ---------------------------------------------------------------------------
 # the per-sample reference
@@ -463,6 +476,90 @@ def _lemma53(cfg):
     return worker
 
 
+def _l1_herm(h):
+    return float(np.abs(np.linalg.eigvalsh(h)).sum())
+
+
+def _l1_gen(m):
+    return float(_svals(m).sum())
+
+
+def _lemma54(cfg):
+    gauges = tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth)
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "lemma54", n, i)
+        rho1 = sampling.state(rng, n)
+        other = sampling.state(rng, n)
+        t = float(rng.uniform(0.0, 0.5))
+        rho2 = (1.0 - t) * rho1 + t * other
+        dist = _l1_herm(rho1 - rho2)
+        lhs = 1.0 - math.sqrt(dist)
+        cases = []
+        for gs, g in gauges:
+            f1 = ref_maps.entropy_min_mat(g, rho1, tol=1e-8).minimizer
+            f2 = ref_maps.entropy_min_mat(g, rho2, tol=1e-8).minimizer
+            rhs = eval_gauge(g, _desc(np.clip(np.linalg.eigvalsh(0.5 * (f1 + f2)), 0.0, None)))
+            cases.append((f"dim={n} i={i} g={gs}", lhs, rhs, _payload(dim=n, index=i, gauge=gs, rho1=rho1, rho2=rho2, dist=dist)))
+        return cases, []
+
+    return worker
+
+
+def _roundtrip(cfg):
+    gauges = tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth)
+
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "roundtrip", n, i)
+        rho = sampling.state(rng, n)
+        spectrum = _desc(rng.uniform(0.05, 1.0, size=n))
+        frame = sampling.unitary(rng, n)
+        u2 = sampling.unitary(rng, n)
+        v2 = sampling.unitary(rng, n)
+        tvals = rng.uniform(0.05, 1.0, size=n)
+        tvals = tvals / tvals.sum()
+        general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
+        u3 = sampling.unitary(rng, n)
+        v3 = sampling.unitary(rng, n)
+        # read at call time, so a test can tighten both sides' budgets to 0
+        state_tol, sphere_tol = suites_mod._STATE_SIDE_TOL, suites_mod._SPHERE_SIDE_TOL
+        cases = []
+        for gs, g in gauges:
+            unit = spectrum / eval_gauge(g, spectrum)
+            psd_unit = (frame * unit) @ frame.conj().T
+            psd_unit = 0.5 * (psd_unit + psd_unit.conj().T)
+            general_unit = u3 @ np.diag(unit).astype(complex) @ v3
+            back = ref_maps.norming_state(g, ref_maps.entropy_min_mat(g, rho).minimizer)
+            back_a = ref_maps.entropy_min_mat(g, ref_maps.norming_state(g, psd_unit)).minimizer
+            back_b = ref_maps.entropy_min_general(g, ref_maps.norming_state(g, general_unit))
+            back_t = ref_maps.norming_state(g, ref_maps.entropy_min_general(g, general_trace))
+            for part, lhs, rhs, fields in (
+                ("state-roundtrip", _l1_herm(back - rho), state_tol, dict(rho=rho)),
+                ("sphere-roundtrip", _l1_herm(back_a - psd_unit), sphere_tol, dict(A=psd_unit)),
+                ("sphere-roundtrip-general", _l1_gen(back_b - general_unit), sphere_tol, dict(A=general_unit)),
+                ("state-roundtrip-general", _l1_gen(back_t - general_trace), state_tol, dict(A=general_trace)),
+            ):
+                cases.append((f"dim={n} i={i} g={gs} {part}", lhs, rhs, _payload(dim=n, index=i, gauge=gs, **fields)))
+        return cases, []
+
+    return worker
+
+
+def _mazur_entropy(cfg):
+    def worker(n, i):
+        rng = sampling.make_rng(cfg.seed, "mazur_entropy", n, i)
+        rho = sampling.state(rng, n)
+        cases = []
+        for p in cfg.p_grid:
+            f = ref_maps.entropy_min_mat(Lp(p), rho).minimizer
+            root = mazur_inverse(MazurParams(Lp(1.0), p), rho)
+            lhs = _l1_herm(f - root)
+            cases.append((f"dim={n} i={i} p={_fmt(p)}", lhs, suites_mod._STATE_SIDE_TOL, _payload(dim=n, index=i, p=p, rho=rho)))
+        return cases, []
+
+    return worker
+
+
 REFERENCE = {
     "holder": _holder,
     "ideal": _ideal,
@@ -479,9 +576,17 @@ REFERENCE = {
     "lemma53": _lemma53,
 }
 
+# the suites whose solvers take one matrix at a time; their workers still run
+# sample by sample, so only the default block size is cut differently
+ENTROPY_REFERENCE = {
+    "lemma54": _lemma54,
+    "roundtrip": _roundtrip,
+    "mazur_entropy": _mazur_entropy,
+}
+
 
 def _reference_report(name, cfg):
-    worker = REFERENCE[name](cfg)
+    worker = {**REFERENCE, **ENTROPY_REFERENCE}[name](cfg)
     cases_run = 0
     worst = 0.0
     violations = []
@@ -522,11 +627,14 @@ CONFIGS = {
     (seed, tol): SuiteConfig(seed=seed, dims=DIMS, samples_per_case=9, rel_tol=tol, abs_tol=tol)
     for seed, tol in ((1, 0.0), (2, 0.0), (1, 1e-10), (2, 1e-10), (1, 2.0), (2, 1e3))
 }
+# the entropy suites solve per sample and gauge, so they run the same configs
+# with fewer samples
+ENTROPY_CONFIGS = {key: dataclasses.replace(cfg, samples_per_case=2) for key, cfg in CONFIGS.items()}
 
 
-def _assert_reference_bytes(monkeypatch, name, cfg):
+def _assert_reference_bytes(monkeypatch, name, cfg, blocks=(1, 7, suites_mod._BLOCK_SAMPLES)):
     want = dumps_json(_reference_report(name, cfg).to_json())
-    for block in (1, 7, suites_mod._BLOCK_SAMPLES):
+    for block in blocks:
         monkeypatch.setattr(suites_mod, "_BLOCK_SAMPLES", block)
         for threads in (1, 4):
             got = dumps_json(run_inequality_suite(name, cfg, threads=threads).to_json())
@@ -546,12 +654,12 @@ def test_zero_tolerances_produce_violations_to_compare():
         assert _reference_report(name, CONFIGS[1, 0.0]).violations, name
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE))
+@pytest.mark.parametrize("name", sorted(REFERENCE) + sorted(ENTROPY_REFERENCE))
 def test_every_case_equals_the_reference_case(name):
     # the report keeps only the worst ratio of passing cases, so compare
     # each case's label and both sides bit for bit
-    cfg = CONFIGS[2, 1e-10]
-    reference, blocks = REFERENCE[name](cfg), suites_mod._SUITES[name](cfg)
+    cfg = (ENTROPY_CONFIGS if name in ENTROPY_REFERENCE else CONFIGS)[2, 1e-10]
+    reference, blocks = {**REFERENCE, **ENTROPY_REFERENCE}[name](cfg), suites_mod._SUITES[name](cfg)
     for n in DIMS:
         want = [c[:3] for i in range(cfg.samples_per_case) for c in reference(n, i)[0]]
         block = blocks(n, range(cfg.samples_per_case))
@@ -578,6 +686,26 @@ def test_fan_dominance_skips_samples_like_the_reference(monkeypatch):
 
 def test_every_block_worker_has_a_reference():
     assert set(REFERENCE) == set(suites_mod.SUITE_NAMES) - {"lemma54", "roundtrip", "mazur_entropy"}
+    assert set(REFERENCE) | set(ENTROPY_REFERENCE) == set(suites_mod.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPY_REFERENCE))
+@pytest.mark.parametrize("seed,tol", sorted(ENTROPY_CONFIGS))
+def test_entropy_suites_give_the_reference_report_bytes(monkeypatch, name, seed, tol):
+    # blocks of one sample, on one thread and on four; the default block
+    # size is run by the violation test below
+    _assert_reference_bytes(monkeypatch, name, ENTROPY_CONFIGS[seed, tol], blocks=(1,))
+
+
+@pytest.mark.parametrize("name", ["roundtrip", "mazur_entropy"])
+def test_entropy_suite_violations_give_the_reference_bytes(monkeypatch, name):
+    # with no residual budget every case is a violation, so labels and
+    # payloads are compared too
+    monkeypatch.setattr(suites_mod, "_STATE_SIDE_TOL", 0.0)
+    monkeypatch.setattr(suites_mod, "_SPHERE_SIDE_TOL", 0.0)
+    cfg = ENTROPY_CONFIGS[1, 0.0]
+    text = _assert_reference_bytes(monkeypatch, name, cfg, blocks=(suites_mod._BLOCK_SAMPLES,))
+    assert len(json.loads(text)["violations"]) > 0
 
 
 @pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"entropy_props", "lemma53"}))

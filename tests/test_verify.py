@@ -67,6 +67,23 @@ def test_make_rng_reproducible_and_key_sensitive():
     assert not np.array_equal(a, d)
 
 
+def _ginibre_two_draws(rng, n):
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def test_ginibre_equals_the_two_draw_formula_bit_for_bit():
+    for seed in range(200):
+        for n in (1, 2, 3, 5, 8, 16, 32, 64):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sampling.ginibre(rng, n)
+            assert got.dtype == np.complex128 and got.shape == (n, n)
+            assert got.tobytes() == _ginibre_two_draws(ref, n).tobytes(), (seed, n)
+            # the generator is left where the two draws left it
+            assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes(), (seed, n)
+
+
 def test_sample_kinds_properties():
     rng = make_rng(0, "props")
     n = 5
