@@ -12,6 +12,11 @@ had then).  The layouts that are easy to get wrong when batching include
 ``entropy_props`` (row sums over masked spectra) and ``lemma53`` (matrix
 logs).  Reports must be byte-identical, at default tolerances and at zero
 tolerances, where round-off ties become violations with labels and payloads.
+
+``lemma54``, ``roundtrip`` and ``mazur_entropy`` still run sample by sample.
+Their reference solves once per gauge through the maps of
+``_reference_maps``, which validate and decompose every matrix on every
+call, where the suites decompose each sampled state once.
 """
 
 import dataclasses
