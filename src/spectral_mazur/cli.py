@@ -33,13 +33,14 @@ from . import __version__
 from .entropy import EntropyMinReport, entropy_min_general, entropy_min_mat, norming_state
 from .errors import (
     ConfigError,
+    NotPositive,
     NotUnitTraceNorm,
     NumericalFailure,
     PreconditionError,
     ZeroMatrix,
 )
 from .gauge import convexify, parse_gauge
-from .matnorm import _is_psd, matrix_to_json, norm_ui, read_matrix, trace_norm
+from .matnorm import _eigh_psd, matrix_to_json, norm_ui, read_matrix, trace_norm
 from .mazur import MazurParams, mazur_forward, mazur_inverse
 from .verify import (
     MAP_NAMES,
@@ -239,14 +240,16 @@ def _cmd_map(args) -> int:
     elif kind == "mazur-inv":
         result = mazur_inverse(params, m)
     elif kind == "entropy-min":
-        if _is_psd(m):
+        try:
+            _eigh_psd(m)
+        except NotPositive:
+            result = entropy_min_general(g, m)
+        else:
             tn = trace_norm(m)
             if abs(tn - 1.0) > 1e-9:
                 raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
             report = entropy_min_mat(g, m / tn)
             result = report.minimizer
-        else:
-            result = entropy_min_general(g, m)
     else:  # gmap
         result = norming_state(g, m)
 

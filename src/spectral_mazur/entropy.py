@@ -68,6 +68,7 @@ from .matnorm import (
     _as_matrices,
     _eigh_psd,
     _first,
+    _psd_or_polar,
     as_matrix,
     matrix_to_json,
     polar,
@@ -203,10 +204,13 @@ def _require_solvable(g: Gauge) -> Gauge:
     return c
 
 
+# the solver's target for the fixed-point residual, and its iteration budget
+_TOL = 1e-8
+_MAX_ITER = 100_000
 _POLISH_ENTRY = 1e-6
 
 
-def _solve_support(g: Lp, r: np.ndarray, tol: float, max_iter: int):
+def _solve_support(g: Lp, r: np.ndarray):
     """Maximize ``sum r_j log y_j`` over the positive unit sphere of ``g``.
 
     ``g`` is a canonical ``Lp(p)`` with ``1 < p < inf``; ``r`` must be
@@ -230,10 +234,10 @@ def _solve_support(g: Lp, r: np.ndarray, tol: float, max_iter: int):
     y = r / _eval(g, np.abs(_finite(r)))
     residual = math.inf
     it = 0
-    while it <= max_iter:
+    while it <= _MAX_ITER:
         j = _duality_map(g, y)
         residual = float(np.abs(y * j - r).sum())
-        if residual <= tol:
+        if residual <= _TOL:
             return y, residual, it
         if residual <= _POLISH_ENTRY:
             break
@@ -254,7 +258,7 @@ def _solve_support(g: Lp, r: np.ndarray, tol: float, max_iter: int):
     alpha = 0.5
     j = _duality_map(g, y)
     residual = float(np.abs(y * j - r).sum())
-    while it <= max_iter and residual > tol and alpha >= 1e-4:
+    while it <= _MAX_ITER and residual > _TOL and alpha >= 1e-4:
         cand = _candidate(g, y, j, r, alpha)
         jc = _duality_map(g, cand)
         res_c = float(np.abs(cand * jc - r).sum())
@@ -264,7 +268,7 @@ def _solve_support(g: Lp, r: np.ndarray, tol: float, max_iter: int):
         else:
             alpha *= 0.5
         it += 1
-    if residual > tol:
+    if residual > _TOL:
         raise NoConvergence("entropy minimizer did not reach its target", residual)
     # refinement: extra local steps are one duality-map evaluation each and
     # strongly contracting, so push the residual toward the round-off floor;
@@ -323,25 +327,27 @@ def _line_search(r, y, d, slope0):
     return 0.5 * (lo + hi) if not (lo < gamma < hi) else gamma
 
 
-def entropy_min_seq(g: Gauge, r, *, tol: float = 1e-8, max_iter: int = 100_000) -> np.ndarray:
+def entropy_min_seq(g: Gauge, r) -> np.ndarray:
     """Spectrum-level minimizer ``y`` on the positive unit sphere of ``g``.
 
-    Coordinates where ``r_j = 0`` are frozen at 0 (they do not enter the
-    objective, and spending norm budget on them is never optimal).  The
+    Coordinates outside the support of ``r`` are frozen at 0 (they do not
+    enter the objective, and spending norm budget on them is never optimal).
+    As in :func:`rel_entropy`, the support is where ``r_j > n eps max r``, so
+    round-off weights of a rank-deficient spectrum are outside it.  The
     output is equivariant under simultaneous permutation with ``r``.
     """
-    y, _, _ = _solve_seq(g, r, tol, max_iter)
+    y, _, _ = _solve_seq(g, r)
     return y
 
 
-def _solve_seq(g: Gauge, r, tol: float, max_iter: int):
+def _solve_seq(g: Gauge, r):
     prob = _check_probability(r)
     c = _require_solvable(g)
     if isinstance(c, Lp) and c.p == 1.0:
         return prob.copy(), 0.0, 0
-    supp = prob > 0.0
+    supp = prob > prob.size * _EPS * prob.max()
     y = np.zeros_like(prob)
-    ys, residual, iters = _solve_support(c, prob[supp], tol, max_iter)
+    ys, residual, iters = _solve_support(c, prob[supp])
     y[supp] = ys
     return y, residual, iters
 
@@ -372,9 +378,7 @@ class EntropyMinReport:
         }
 
 
-def entropy_min_mat(
-    g: Gauge, rho, *, tol: float = 1e-8, max_iter: int = 100_000
-) -> EntropyMinReport:
+def entropy_min_mat(g: Gauge, rho) -> EntropyMinReport:
     """Minimize ``D(rho ‖ ·)`` over PSD matrices on the unit sphere of ``g``.
 
     The minimizer shares the eigenbasis of ``rho``; degenerate eigenvalues
@@ -388,10 +392,10 @@ def entropy_min_mat(
     """
     lam, w = rho if isinstance(rho, _CheckedState) else check_state(rho)
     r = lam / lam.sum()
-    y, residual, iters = _solve_seq(g, r, tol, max_iter)
+    y, residual, iters = _solve_seq(g, r)
     sigma = (w * y) @ w.conj().T
     sigma = 0.5 * (sigma + sigma.conj().T)
-    pos = r > 0.0
+    pos = y > 0.0
     objective = float(np.sum(r[pos] * np.log(r[pos] / y[pos])))
     return EntropyMinReport(
         minimizer=sigma,
@@ -401,7 +405,7 @@ def entropy_min_mat(
     )
 
 
-def entropy_min_general(g: Gauge, a, *, tol: float = 1e-8, max_iter: int = 100_000) -> np.ndarray:
+def entropy_min_general(g: Gauge, a) -> np.ndarray:
     """Polar extension of the minimization to trace-norm-one matrices.
 
     Writes ``a = u |a|`` and returns ``u @ entropy_min_mat(g, |a|)``: the
@@ -416,7 +420,7 @@ def entropy_min_general(g: Gauge, a, *, tol: float = 1e-8, max_iter: int = 100_0
     if abs(tn - 1.0) > 1e-9:
         raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
     rho = parts.modulus / tn
-    rep = entropy_min_mat(g, rho, tol=tol, max_iter=max_iter)
+    rep = entropy_min_mat(g, rho)
     return parts.isometry @ rep.minimizer
 
 
@@ -431,20 +435,14 @@ def norming_state(g: Gauge, a) -> np.ndarray:
     polar SVD and one ``eigh`` of the modulus.  The unit norm is checked on
     that spectrum, which is the singular values of ``a``.
     """
-    m = as_matrix(a)
-    try:
-        lam, w = _eigh_psd(m)
-        parts = None
-    except NotPositive:
-        parts = polar(m)
-        lam, w = _eigh_psd(parts.modulus)
+    lam, w, isometry = _psd_or_polar(as_matrix(a))
     nrm = eval_gauge(g, lam)
     if abs(nrm - 1.0) > 1e-9:
         raise NotUnitNorm(f"input must have unit gauge norm, got {nrm!r}")
     j = duality_map_seq(g, lam)
     core = (w * (j * lam)) @ w.conj().T
     core = 0.5 * (core + core.conj().T)
-    return core if parts is None else parts.isometry @ core
+    return core if isometry is None else isometry @ core
 
 
 # ---------------------------------------------------------------------------

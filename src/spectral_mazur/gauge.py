@@ -290,28 +290,8 @@ def eval_gauge(g: Gauge, v) -> float:
 
 
 def _eval(c: Gauge, a: np.ndarray) -> float:
-    peak = float(a.max())
-    if peak == 0.0:
-        return 0.0
-    if isinstance(c, Lp):
-        if math.isinf(c.p):
-            return peak
-        if c.p == 1.0:
-            return float(a.sum())
-        # scale by the peak so a**p cannot overflow for large p
-        return peak * float(((a / peak) ** c.p).sum() ** (1.0 / c.p))
-    if isinstance(c, KyFan):
-        k = min(c.k, a.size)
-        return float(np.sort(a)[::-1][:k].sum())
-    if isinstance(c, Convexified):
-        return peak * _eval(c.base, (a / peak) ** c.p) ** (1.0 / c.p)
-    if isinstance(c, Dual):
-        base = c.base
-        if isinstance(base, KyFan):
-            k = min(base.k, a.size)
-            return max(peak, float(a.sum()) / k)
-        return peak * _dual_numeric(base, np.sort(a / peak)[::-1])
-    raise GaugeParseError(f"not a gauge descriptor: {c!r}")
+    """:func:`_eval_rows` of a nonnegative finite vector, as a one-row array."""
+    return float(_eval_rows(c, a[None])[0])
 
 
 def eval_gauge_rows(g: Gauge, a) -> np.ndarray:
@@ -329,12 +309,14 @@ def eval_gauge_rows(g: Gauge, a) -> np.ndarray:
 
 
 def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
-    """:func:`_eval` on each row of a nonnegative finite 2-d array.
+    """The canonical gauge ``c`` on each row of a nonnegative finite 2-d array.
 
-    The closed forms mirror :func:`_eval` operation by operation, with each
-    row's root taken by the scalar pow that :func:`_eval` uses, because
-    numpy's array pow differs from it in the last bit on a few percent of
-    entries.  Duals without a closed form go row by row through :func:`_eval`.
+    This is the one evaluator: a single vector goes through it as a one-row
+    array (:func:`_eval`).  Zero rows give 0.  The ``p``-th powers are taken
+    of the row scaled by its peak, so they cannot overflow for large ``p``,
+    and each row's root is taken by Python's scalar pow, because numpy's
+    array pow differs from it in the last bit on a few percent of entries.
+    Duals without a closed form go row by row through :func:`_dual_numeric`.
     """
     peak = a.max(axis=1)
     if isinstance(c, Lp) and math.isinf(c.p):
@@ -346,7 +328,9 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     if isinstance(c, Dual) and isinstance(c.base, KyFan):
         return np.maximum(peak, a.sum(axis=1) / min(c.base.k, a.shape[1]))
     if isinstance(c, Dual):
-        return np.array([_eval(c, row) for row in a])
+        return np.array(
+            [pk * _dual_numeric(c.base, np.sort(row / pk)[::-1]) if pk > 0.0 else 0.0 for row, pk in zip(a, peak)]
+        )
     # Lp with 1 < p < inf, or Convexified: peak * inner((a / peak)^p)^(1/p)
     if not peak.all():
         out = np.zeros_like(peak)

@@ -186,33 +186,34 @@ def duality_map_mat(g: Gauge, a) -> np.ndarray:
     For PSD ``a`` the sequence map is applied to the eigenvalues inside the
     eigenbasis; a general ``a = u |a|`` maps to ``J(|a|) u†``.  The result
     ``J`` satisfies ``Re tr(J a) = ‖a‖²`` and ``‖J‖_dual = ‖a‖`` for the
-    trace pairing ``(J, a) -> tr(J a)``.
+    trace pairing ``(J, a) -> tr(J a)``.  ``a`` is decomposed once, as
+    :func:`_psd_or_polar` does.
     """
     m = as_matrix(a)
     if not np.any(np.abs(m) > 0.0):
         raise ZeroMatrix("duality map undefined at the zero matrix")
-    if _is_psd(m):
-        return _duality_map_psd(g, m)
-    parts = polar(m)
-    j_mod = _duality_map_psd(g, parts.modulus)
-    return j_mod @ parts.isometry.conj().T
+    lam, w, isometry = _psd_or_polar(m)
+    j = (w * duality_map_seq(g, lam)) @ w.conj().T
+    j = 0.5 * (j + j.conj().T)
+    return j if isometry is None else j @ isometry.conj().T
 
 
-def _is_psd(m: np.ndarray) -> bool:
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
-        return False
-    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    n = m.shape[0]
-    lam_max = float(lam[-1]) if lam[-1] > 0 else 0.0
-    return bool(lam[0] >= -n * _EPS * lam_max - 10 * _EPS * scale)
+def _psd_or_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(lam, w, isometry)`` for a validated matrix: the spectral parts of
+    ``m`` itself when it is PSD (one ``eigh``, ``isometry`` is None), and
+    otherwise those of its polar modulus with the partial isometry of
+    ``m = isometry @ modulus`` (the polar SVD and one ``eigh``).
 
-
-def _duality_map_psd(g: Gauge, m: np.ndarray) -> np.ndarray:
-    lam, w = eigh_psd(m)
-    j_seq = duality_map_seq(g, lam)
-    out = (w * j_seq) @ w.conj().T
-    return 0.5 * (out + out.conj().T)
+    ``lam`` are the singular values of ``m`` either way; what counts as PSD
+    is what :func:`eigh_psd` accepts.
+    """
+    try:
+        lam, w = _eigh_psd(m)
+        return lam, w, None
+    except NotPositive:
+        parts = polar(m)
+        lam, w = _eigh_psd(parts.modulus)
+        return lam, w, parts.isometry
 
 
 # ---------------------------------------------------------------------------

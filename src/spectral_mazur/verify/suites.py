@@ -731,8 +731,8 @@ def _lemma54(cfg: SuiteConfig):
         st1, st2 = check_state(rho1), check_state(rho2)
 
         def solve(g):
-            f1 = entropy_min_mat(g, st1, tol=1e-8).minimizer
-            f2 = entropy_min_mat(g, st2, tol=1e-8).minimizer
+            f1 = entropy_min_mat(g, st1).minimizer
+            f2 = entropy_min_mat(g, st2).minimizer
             return eval_gauge(g, _desc(np.clip(np.linalg.eigvalsh(0.5 * (f1 + f2)), 0.0, None)))
 
         return [

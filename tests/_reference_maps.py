@@ -3,7 +3,10 @@
 ``entropy_min_mat``, ``entropy_min_general`` and ``norming_state`` below
 validate and diagonalise their input on every call, check the input's norm
 with a separate SVD, and run the Frank-Wolfe loop through the public
-``eval_gauge`` and ``duality_map_seq``, which validate every vector.  The
+``eval_gauge`` and ``duality_map_seq``, which validate every vector.
+``duality_map_mat`` is the matrix duality map as written before it shared
+the PSD-or-polar split of ``norming_state``: ``_is_psd`` tests PSD input with
+an ``eigvalsh`` of its own, and the map then diagonalises it again.  The
 package's maps must give the same bits and raise the same errors; the
 tests compare them, and the per-sample suite references call these.
 """
@@ -29,9 +32,9 @@ from spectral_mazur.entropy import (
     _line_search,
     _require_solvable,
 )
-from spectral_mazur.errors import NoConvergence, NotUnitNorm, NotUnitTraceNorm
+from spectral_mazur.errors import NoConvergence, NotUnitNorm, NotUnitTraceNorm, ZeroMatrix
 from spectral_mazur.gauge import Lp
-from spectral_mazur.matnorm import _is_psd, as_matrix
+from spectral_mazur.matnorm import _EPS, as_matrix
 
 
 def _solve_support(g, r, tol, max_iter):
@@ -140,3 +143,31 @@ def norming_state(g, a):
     j = duality_map_seq(g, lam)
     core = (w * (j * lam)) @ w.conj().T
     return parts.isometry @ (0.5 * (core + core.conj().T))
+
+
+def duality_map_mat(g, a):
+    m = as_matrix(a)
+    if not np.any(np.abs(m) > 0.0):
+        raise ZeroMatrix("duality map undefined at the zero matrix")
+    if _is_psd(m):
+        return _duality_map_psd(g, m)
+    parts = polar(m)
+    j_mod = _duality_map_psd(g, parts.modulus)
+    return j_mod @ parts.isometry.conj().T
+
+
+def _is_psd(m: np.ndarray) -> bool:
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
+        return False
+    lam = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    n = m.shape[0]
+    lam_max = float(lam[-1]) if lam[-1] > 0 else 0.0
+    return bool(lam[0] >= -n * _EPS * lam_max - 10 * _EPS * scale)
+
+
+def _duality_map_psd(g, m: np.ndarray) -> np.ndarray:
+    lam, w = eigh_psd(m)
+    j_seq = duality_map_seq(g, lam)
+    out = (w * j_seq) @ w.conj().T
+    return 0.5 * (out + out.conj().T)

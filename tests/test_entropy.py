@@ -17,6 +17,7 @@ from spectral_mazur import (
     Lp,
     SuiteConfig,
     check_state,
+    duality_map_mat,
     eigh_psd,
     entropy_min_bruteforce,
     entropy_min_general,
@@ -25,8 +26,10 @@ from spectral_mazur import (
     eval_gauge,
     norming_state,
     parse_gauge,
+    polar,
     rel_entropy,
     trace_norm,
+    write_matrix,
 )
 from spectral_mazur import entropy as entropy_mod
 from spectral_mazur import gauge as gauge_mod
@@ -41,6 +44,7 @@ from spectral_mazur.errors import (
     NotUnitTraceNorm,
     NumericalFailure,
 )
+from spectral_mazur.cli import main
 from spectral_mazur.verify import sampling
 from spectral_mazur.verify import suites as suites_mod
 
@@ -239,9 +243,10 @@ def test_seq_preconditions():
         entropy_min_seq(KyFan(2), np.array([0.5, 0.5]))
 
 
-def test_seq_no_convergence_reports_residual():
+def test_seq_no_convergence_reports_residual(monkeypatch):
+    monkeypatch.setattr(entropy_mod, "_MAX_ITER", 0)
     with pytest.raises(NoConvergence) as exc:
-        entropy_min_seq(Lp(4.0), np.array([0.1, 0.2, 0.7]), max_iter=0)
+        entropy_min_seq(Lp(4.0), np.array([0.1, 0.2, 0.7]))
     assert exc.value.residual > 0.0
 
 
@@ -567,27 +572,64 @@ def test_norming_state_equals_its_earlier_form_bit_for_bit(s):
         assert _outcome(norming_state, g, a) == want, kind
 
 
+def _cut_closed_form(rho, g):
+    """The closed-form minimizer ``w y w†``, ``y = r^(1/p)`` normalised, of a
+    state with spectrum ``r``, whose round-off weights (``r_j <= n eps max r``)
+    are outside the support."""
+    lam, w = check_state(rho)
+    r = np.where(lam > lam.size * np.finfo(float).eps * lam[-1], lam, 0.0)
+    return (w * _closed_form(r, gauge_mod._canonical_form(g).p)) @ w.conj().T
+
+
 @pytest.mark.parametrize("s", CONTRACT_GAUGES + ("lp:1",))
 def test_entropy_min_general_equals_its_earlier_form_bit_for_bit(s):
+    # the modulus of a rank-deficient input keeps round-off eigenvalues,
+    # which are outside the support now: those inputs get the closed form on
+    # the rest (the earlier form differed from it by up to 5.5e-9 here)
     g = parse_gauge(s)
     for kind, a in _map_inputs(np.random.default_rng(51)).items():
         a = a / trace_norm(a)
-        assert _outcome(entropy_min_general, g, a) == _outcome(ref_maps.entropy_min_general, g, a), kind
+        if kind.endswith("rank-deficient"):
+            parts = polar(a)
+            want = parts.isometry @ _cut_closed_form(parts.modulus / np.trace(parts.modulus).real, g)
+            assert trace_norm(entropy_min_general(g, a) - want) <= 1e-7, kind
+        else:
+            assert _outcome(entropy_min_general, g, a) == _outcome(ref_maps.entropy_min_general, g, a), kind
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def _rank_deficient_state(rng):
+    """A rank-2 state of dimension 5 whose spectrum keeps round-off
+    eigenvalues near 1e-17 (at seed 52: 0, 7.6e-18, 2.6e-17, 0.26, 0.74)."""
+    low = _rand_psd(rng, 5, rank=2)
+    return low / np.trace(low).real
+
+
 @pytest.mark.parametrize("s", CONTRACT_GAUGES + ("lp:1",))
 def test_entropy_min_mat_equals_its_earlier_form_given_a_matrix_or_its_checked_state(s):
-    # the rank-deficient state keeps round-off eigenvalues near 1e-17, on
-    # which the solver fails at lp:1.5 (NumericalFailure, after numpy's
-    # warnings on a zero iterate) as it did before
+    # a full-rank state gives the bits it gave before.  On the rank-deficient
+    # state the earlier form failed at lp:1.5 (NumericalFailure, after numpy's
+    # warnings on a zero iterate) and gave the round-off eigenvalues weights
+    # r_j^(1/p) at the other gauges (3e-3 in trace norm at conv:3:lp:2); they
+    # are outside the support now, as in rel_entropy, and the map gives the
+    # closed form r^(1/p) on the rest
     g = parse_gauge(s)
     rng = np.random.default_rng(52)
-    low = _rand_psd(rng, 5, rank=2)
-    for kind, rho in {"full-rank": _rand_state(rng, 5), "rank-deficient": low / np.trace(low).real}.items():
-        want = _outcome(ref_maps.entropy_min_mat, g, rho)
-        assert _outcome(entropy_min_mat, g, rho) == want, kind
-        assert _outcome(entropy_min_mat, g, check_state(rho)) == want, kind
+    low = _rank_deficient_state(rng)
+    rho = _rand_state(rng, 5)
+    want = _outcome(ref_maps.entropy_min_mat, g, rho)
+    assert _outcome(entropy_min_mat, g, rho) == want
+    assert _outcome(entropy_min_mat, g, check_state(rho)) == want
+    rep = entropy_min_mat(g, low)
+    assert _outcome(entropy_min_mat, g, check_state(low)) == _outcome(entropy_min_mat, g, low)
+    assert rep.fixed_point_residual <= 1e-8
+    assert trace_norm(rep.minimizer - _cut_closed_form(low, g)) <= 1e-7
+
+
+def test_map_entropy_min_solves_a_rank_deficient_state(tmp_path, capsys):
+    path = tmp_path / "rho.json"
+    write_matrix(path, _rank_deficient_state(np.random.default_rng(52)))
+    assert main(["map", "entropy-min", str(path), "--gauge", "lp:1.5", "--out", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_state_unpacks_as_spectrum_and_basis():
@@ -618,6 +660,16 @@ def test_the_maps_raise_what_they_raised_before():
     assert _outcome(ref_maps.entropy_min_mat, kyfan, rho) is NotSmooth
     assert _outcome(entropy_min_mat, kyfan, rho) is NotSmooth
     assert _outcome(entropy_min_mat, kyfan, check_state(rho)) is NotSmooth
+
+
+@pytest.mark.parametrize("s", CONTRACT_GAUGES + ("kyfan:2",))
+def test_duality_map_mat_equals_its_earlier_form_bit_for_bit(s):
+    g = parse_gauge(s)
+    inputs = _map_inputs(np.random.default_rng(57))
+    for kind, a in {**inputs, "zero": np.zeros((4, 4))}.items():
+        want = _outcome(ref_maps.duality_map_mat, g, a)
+        assert _outcome(duality_map_mat, g, a) == want, kind
+        assert isinstance(want, bytes) == (g.smooth and kind != "zero"), kind
 
 
 def test_a_non_finite_solver_iterate_raises_numerical_failure(monkeypatch):
@@ -664,6 +716,12 @@ def test_each_map_diagonalises_its_input_once(monkeypatch):
     assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 1}
     calls.reset()
     entropy_min_general(g, trace_one)
+    assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+    calls.reset()
+    duality_map_mat(g, psd)
+    assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+    calls.reset()
+    duality_map_mat(g, general)
     assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
 

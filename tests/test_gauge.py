@@ -31,6 +31,8 @@ from spectral_mazur import (
 from spectral_mazur import gauge as gauge_mod
 from spectral_mazur.errors import GaugeParseError, NotSmooth, NumericalFailure, ZeroVector
 
+import _reference_gauge as ref_gauge
+
 # descriptors whose evaluation reduces to a closed form
 CLOSED_GAUGES = (
     "lp:1",
@@ -300,19 +302,30 @@ def _rows_cases(seed: int, n: int) -> np.ndarray:
     return np.vstack([rows, np.zeros((1, n)), rows / np.abs(rows).max() * 1e300, rows * 1e-300])
 
 
+# the evaluators below are compared with the scalar evaluator they replaced,
+# kept in ``_reference_gauge``: ``eval_gauge`` is now a one-row call of the
+# row evaluator, so comparing the two would compare the path with itself
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 60.0, math.inf])
 def test_eval_rows_matches_eval_gauge_lp(p):
     rows = np.vstack([_rows_cases(8, 5), [[0.0, 0.0, 2.0, 0.0, 0.0]]])
+    want = [ref_gauge.eval_gauge(Lp(p), row) for row in rows]
     got = eval_gauge_rows(Lp(p), rows)
-    assert got.tolist() == [eval_gauge(Lp(p), row) for row in rows], p
+    assert got.tolist() == want, p
+    assert [eval_gauge(Lp(p), row) for row in rows] == want, p
     assert got[6] == 0.0
 
 
 def test_eval_rows_falls_back_to_eval():
-    # Dual of a convexified Ky Fan norm has no closed form: row by row
-    rows = np.abs(_rows_cases(9, 3)[:2])
+    # Dual of a convexified Ky Fan norm has no closed form: SLSQP row by row,
+    # and a zero row gives 0 without it
+    rows = np.abs(_rows_cases(9, 3)[[0, 1, 6]])
     g = parse_gauge("dual:conv:2:kyfan:2")
-    assert eval_gauge_rows(g, rows).tolist() == [eval_gauge(g, row) for row in rows]
+    want = [ref_gauge.eval_gauge(g, row) for row in rows]
+    assert want[2] == 0.0
+    assert eval_gauge_rows(g, rows).tolist() == want
+    assert eval_gauge(g, rows[0]) == want[0]
 
 
 ROW_GAUGES = (
@@ -340,9 +353,11 @@ def test_eval_gauge_rows_equals_eval_gauge_exactly(s, n):
     rows = _rows_cases(n, n)
     desc = np.sort(np.abs(rows), axis=1)[:, ::-1]  # the suites pass descending views
     for a in (rows, desc):
+        want = [ref_gauge.eval_gauge(g, row) for row in a]
         got = eval_gauge_rows(g, a)
         assert got.shape == (len(a),)
-        assert got.tolist() == [eval_gauge(g, row) for row in a]
+        assert got.tolist() == want
+        assert [eval_gauge(g, row) for row in a] == want
     assert eval_gauge_rows(g, rows)[6] == 0.0
 
 
