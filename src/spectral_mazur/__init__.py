@@ -63,7 +63,7 @@ from .matnorm import (
     trace_norm,
     write_matrix,
 )
-from .mazur import MazurParams, mazur_forward, mazur_inverse, tilde_pair, tilde_selfadjoint
+from .mazur import mazur_forward, mazur_inverse, tilde_pair, tilde_selfadjoint
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -107,7 +107,6 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     # sphere maps
-    "MazurParams",
     "mazur_forward",
     "mazur_inverse",
     "tilde_selfadjoint",

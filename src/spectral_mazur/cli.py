@@ -14,16 +14,13 @@ mathematical precondition.
 
 Determinism: given the same seed, configuration, and pinned ``--timestamp``,
 every artifact the CLI writes is byte-identical across runs and thread
-counts.  The seed defaults to the ``SPECTRAL_MAZUR_SEED`` environment
-variable, then 1.
+counts.  The seed comes from ``--seed``, then the config file, then 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -40,8 +37,8 @@ from .errors import (
     ZeroMatrix,
 )
 from .gauge import convexify, parse_gauge
-from .matnorm import _eigh_psd, matrix_to_json, norm_ui, read_matrix, trace_norm
-from .mazur import MazurParams, mazur_forward, mazur_inverse
+from .matnorm import _eigh_psd, matrix_from_json, matrix_to_json, norm_ui, trace_norm
+from .mazur import mazur_forward, mazur_inverse
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -52,8 +49,6 @@ from .verify import (
 )
 
 __all__ = ["RunManifest", "main", "entry"]
-
-_ENV_SEED = "SPECTRAL_MAZUR_SEED"
 
 
 @dataclass(frozen=True)
@@ -97,49 +92,39 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ConfigError(f"--dims expects a comma-separated list of integers, got {text!r}") from None
 
 
-def _check_p(p: float | None) -> None:
-    """``--p`` is written into the manifest, so it must be finite even where unused."""
-    if p is not None and not math.isfinite(p):
-        raise ConfigError(f"--p must be a finite number, got {p}")
+def _read_json(path: str, what: str):
+    """The JSON value in ``path``; an unreadable or undecodable file is a
+    :class:`ConfigError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _load_matrix(path: str):
-    try:
-        return read_matrix(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix file {path!r}: {exc}") from exc
+    return matrix_from_json(_read_json(path, "matrix"))
 
 
 def _write_text(path: str, text: str) -> None:
     out = Path(path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    try:
+        if out.parent != Path(""):
+            out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _build_config(args) -> SuiteConfig:
-    """Assemble the suite configuration: flags > config file > env > defaults."""
+    """Assemble the suite configuration: flags > config file > defaults."""
     data: dict = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
+        data = _read_json(args.config, "config")
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
-        data = dict(data)
     if args.seed is not None:
         data["seed"] = args.seed
-    elif "seed" not in data:
-        env = os.environ.get(_ENV_SEED)
-        if env is not None:
-            try:
-                data["seed"] = int(env)
-            except ValueError:
-                raise ConfigError(f"{_ENV_SEED} must be an integer, got {env!r}") from None
     if args.dims is not None:
         data["dims"] = list(_parse_dims(args.dims))
     if args.samples is not None:
@@ -155,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # each subcommand is offered only the flags it reads, so that an unread
     # flag is a usage error rather than silently ignored
     sampled = argparse.ArgumentParser(add_help=False)
-    sampled.add_argument("--seed", type=int, default=None, help=f"random seed (default: ${_ENV_SEED} or 1)")
+    sampled.add_argument("--seed", type=int, default=None, help="random seed (default: 1)")
     sampled.add_argument("--dims", type=str, default=None, help="comma-separated matrix dimensions")
     sampled.add_argument("--samples", type=int, default=None, help="random samples per (suite, dimension)")
     sampled.add_argument("--rel-tol", type=float, default=None, help="relative tolerance for inequality checks")
@@ -179,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("kind", choices=("mazur", "mazur-inv", "entropy-min", "gmap"))
     p_map.add_argument("matrix", help="path to a matrix JSON file")
     p_map.add_argument("--gauge", required=True, help="gauge descriptor")
-    p_map.add_argument("--p", type=float, default=None, help="exponent for the power maps")
+    p_map.add_argument("--p", type=float, default=None, help="exponent, read only by mazur and mazur-inv")
     p_map.add_argument(
         "--project",
         action="store_true",
@@ -194,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mod = sub.add_parser("modulus", parents=[sampled, written], help="profile a map's modulus of continuity")
     p_mod.add_argument("map", choices=MAP_NAMES)
     p_mod.add_argument("--gauge", required=True, help="gauge descriptor")
-    p_mod.add_argument("--p", type=float, default=None, help="exponent for the power maps")
+    p_mod.add_argument("--p", type=float, default=None, help="exponent, read only by Gp and Gp_inv")
 
     return parser
 
@@ -223,29 +208,32 @@ def _project(kind: str, g, p, m):
 
 
 def _cmd_map(args) -> int:
-    _check_p(args.p)
+    kind = args.kind
+    power_map = kind in ("mazur", "mazur-inv")
+    if power_map and args.p is None:
+        raise ConfigError(f"map kind {kind!r} requires --p")
+    if not power_map and args.p is not None:
+        raise ConfigError(f"map kind {kind!r} takes no --p")
     g = parse_gauge(args.gauge)
     m = _load_matrix(args.matrix)
-    kind = args.kind
-    if kind in ("mazur", "mazur-inv"):
-        if args.p is None:
-            raise ConfigError(f"map kind {kind!r} requires --p")
-        params = MazurParams(g, args.p)
     if args.project:
         m = _project(kind, g, args.p, m)
 
     report: EntropyMinReport | None = None
     if kind == "mazur":
-        result = mazur_forward(params, m)
+        result = mazur_forward(m, args.p)
     elif kind == "mazur-inv":
-        result = mazur_inverse(params, m)
+        result = mazur_inverse(m, args.p)
     elif kind == "entropy-min":
         try:
-            _eigh_psd(m)
+            lam, _ = _eigh_psd(m)
         except NotPositive:
             result = entropy_min_general(g, m)
         else:
-            tn = trace_norm(m)
+            # the probe's spectrum is the trace norm; check_state still
+            # decomposes m / tn, since its Hermitian and unit-trace checks
+            # are stricter than the probe's
+            tn = float(lam.sum())
             if abs(tn - 1.0) > 1e-9:
                 raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
             report = entropy_min_mat(g, m / tn)
@@ -315,7 +303,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    _check_p(args.p)
     cfg = _build_config(args)
     g = parse_gauge(args.gauge)
     profile = estimate_modulus(args.map, cfg, g, p=args.p)

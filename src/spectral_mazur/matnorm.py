@@ -265,6 +265,6 @@ def read_matrix(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"invalid JSON in {path}: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MatrixFormatError(f"invalid UTF-8 JSON in {path}: {exc}") from exc
     return matrix_from_json(obj)

@@ -6,26 +6,28 @@ norm built from the p-convexified gauge onto the unit sphere of the base
 gauge's norm; the inverse applies the ``1/p`` power.  On self-adjoint
 matrices both act as sign-preserving powers of the eigenvalues.
 
-Two block constructions used throughout the verification harness live here
-as well: ``tilde_selfadjoint`` embeds an arbitrary matrix into a self-adjoint
-one of twice the size (doubling each singular value), and ``tilde_pair``
-packages a pair into a block-diagonal matrix plus the corner matrix whose
-commutators select differences.
+The map is the same for every unitarily invariant norm: the base gauge only
+names the two spheres it connects, so both directions take the exponent
+``p`` alone.
+
+Two block constructions live here as well, library tools checked by
+``tests/test_mazur.py``: ``tilde_selfadjoint`` embeds an arbitrary matrix into
+a self-adjoint one of twice the size (doubling each singular value), and
+``tilde_pair`` packages a pair into a block-diagonal matrix plus the corner
+matrix whose commutators select differences.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, GaugeParseError, NumericalFailure
-from .gauge import Gauge, _check_exponent
+from .gauge import _check_exponent
 from .matnorm import as_matrix
 
 __all__ = [
-    "MazurParams",
     "mazur_forward",
     "mazur_inverse",
     "tilde_selfadjoint",
@@ -33,20 +35,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MazurParams:
-    """Base gauge and finite exponent ``p >= 1`` selecting a Mazur map."""
-
-    gauge: Gauge
-    p: float
-
-    def __post_init__(self):
-        if not isinstance(self.gauge, Gauge):
-            raise GaugeParseError(f"gauge must be a descriptor, got {self.gauge!r}")
-        p = _check_exponent(self.p)
-        if math.isinf(p):
-            raise GaugeParseError(f"Mazur map exponent must be finite, got {p}")
-        object.__setattr__(self, "p", p)
+def _check_power(p) -> float:
+    """The exponent as a float, when it is finite and ``>= 1``."""
+    p = _check_exponent(p)
+    if math.isinf(p):
+        raise GaugeParseError(f"Mazur map exponent must be finite, got {p}")
+    return p
 
 
 def _svd_power(a, p: float) -> np.ndarray:
@@ -66,14 +60,14 @@ def _svd_power(a, p: float) -> np.ndarray:
     return (u * s**p) @ vh
 
 
-def mazur_forward(mp: MazurParams, a) -> np.ndarray:
-    """Apply ``A = u|A| -> u |A|^p``."""
-    return _svd_power(a, float(mp.p))
+def mazur_forward(a, p) -> np.ndarray:
+    """Apply ``A = u|A| -> u |A|^p`` for a finite ``p >= 1``."""
+    return _svd_power(a, _check_power(p))
 
 
-def mazur_inverse(mp: MazurParams, b) -> np.ndarray:
+def mazur_inverse(b, p) -> np.ndarray:
     """Apply ``B = v|B| -> v |B|^(1/p)``, the inverse of the forward map."""
-    return _svd_power(b, 1.0 / float(mp.p))
+    return _svd_power(b, 1.0 / _check_power(p))
 
 
 def tilde_selfadjoint(x) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from .config import SuiteConfig, SuiteReport, Violation, dumps_json
 from .modulus import MAP_NAMES, ModulusProfile, estimate_modulus
-from .sampling import gen_random, make_rng
+from .sampling import make_rng
 from .suites import CORE_SUITE_NAMES, SUITE_NAMES, run_inequality_suite
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "MAP_NAMES",
     "ModulusProfile",
     "estimate_modulus",
-    "gen_random",
     "make_rng",
     "CORE_SUITE_NAMES",
     "SUITE_NAMES",

@@ -20,7 +20,6 @@ per sample (before binning):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from ..entropy import entropy_min_mat, norming_state
 from ..errors import ConfigError
 from ..gauge import Gauge, convexify, eval_gauge
-from ..mazur import MazurParams, mazur_forward, mazur_inverse
+from ..mazur import mazur_forward, mazur_inverse
 from . import sampling
 from .config import SuiteConfig
 
@@ -91,8 +90,8 @@ def estimate_modulus(
 ) -> ModulusProfile:
     """Estimate the modulus profile of one sphere map under ``gauge``.
 
-    ``p`` is required for the power maps ``Gp`` / ``Gp_inv`` and ignored
-    otherwise.  Sample count is ``len(cfg.dims) * cfg.samples_per_case``.
+    ``p`` is required for the power maps ``Gp`` / ``Gp_inv`` and refused
+    otherwise: no other map reads it.  Sample count is ``len(cfg.dims) * cfg.samples_per_case``.
     """
     if map_name not in MAP_NAMES:
         raise ConfigError(f"unknown map {map_name!r}; choose from {list(MAP_NAMES)}")
@@ -100,14 +99,15 @@ def estimate_modulus(
     if power_map:
         if p is None:
             raise ConfigError(f"map {map_name!r} requires an exponent p")
-        params = MazurParams(gauge, p)
         conv = convexify(gauge, p)
+    elif p is not None:
+        raise ConfigError(f"map {map_name!r} takes no exponent p")
 
     if map_name == "Gp":
         dom, img = conv, gauge
 
         def apply(a):
-            return mazur_forward(params, a)
+            return mazur_forward(a, p)
 
         def bound(t):
             return 3.0 * p * t
@@ -116,7 +116,7 @@ def estimate_modulus(
         dom, img = gauge, conv
 
         def apply(a):
-            return mazur_inverse(params, a)
+            return mazur_inverse(a, p)
 
         def bound(t):
             return t ** (1.0 / p)

@@ -21,10 +21,8 @@ __all__ = [
     "psd",
     "state",
     "unitary",
-    "partial_isometry",
     "ucptp_mixture",
     "apply_mixture",
-    "gen_random",
 ]
 
 
@@ -79,14 +77,6 @@ def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def partial_isometry(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random partial isometry of uniformly drawn rank in ``1..n``."""
-    rank = int(rng.integers(1, n + 1))
-    u = unitary(rng, n)
-    v = unitary(rng, n)
-    return u[:, :rank] @ v[:rank, :]
-
-
 def ucptp_mixture(rng: np.random.Generator, n: int):
     """Random mixture of three unitary conjugations ``z -> sum_i lam_i U_i z U_i†``.
 
@@ -106,28 +96,3 @@ def apply_mixture(mix, z: np.ndarray) -> np.ndarray:
         out = out + w * (u @ z @ u.conj().T)
     return out
 
-
-_KINDS = {
-    "ginibre": ginibre,
-    "hermitian": hermitian,
-    "psd": psd,
-    "state": state,
-    "unitary": unitary,
-    "partial_isometry": partial_isometry,
-    "ucptp_mixture": ucptp_mixture,
-}
-
-
-def gen_random(cfg, kind: str):
-    """Yield ``(dim, index, sample)`` over the config's dims and sample count.
-
-    The stream for a given config and kind is deterministic and order-stable.
-    """
-    try:
-        fn = _KINDS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown sample kind {kind!r}; choose from {sorted(_KINDS)}") from None
-    for dim in cfg.dims:
-        for index in range(cfg.samples_per_case):
-            rng = make_rng(cfg.seed, kind, dim, index)
-            yield dim, index, fn(rng, dim)

@@ -36,7 +36,7 @@ from ..entropy import check_state, entropy_min_general, entropy_min_mat, norming
 from ..errors import NumericalFailure, UnknownSuite
 from ..gauge import Lp, _canonical_form, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, _adj, matrix_to_json
-from ..mazur import MazurParams, mazur_inverse
+from ..mazur import mazur_inverse
 from . import sampling
 from .config import SuiteConfig, SuiteReport, Violation
 
@@ -800,7 +800,7 @@ def _mazur_entropy(cfg: SuiteConfig):
         for p in ps:
             g = Lp(p)
             f = entropy_min_mat(g, st).minimizer
-            root = mazur_inverse(MazurParams(Lp(1.0), p), rho)
+            root = mazur_inverse(rho, p)
             cases.append((f"dim={n} i={i} p={_fmt(p)}", _l1_herm(f - root), _STATE_SIDE_TOL, dict(dim=n, index=i, p=p, rho=rho)))
         return cases
 

@@ -1,15 +1,16 @@
 """Command line interface: subcommands, exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_mazur import (
-    Lp,
-    MazurParams,
     matrix_from_json,
-    matrix_to_json,
     mazur_forward,
     norm_ui,
     norming_state,
@@ -96,7 +97,7 @@ def test_map_mazur_artifact(mat_file, tmp_path, capsys):
     assert set(artifact) == {"manifest", "matrix"}
     got = matrix_from_json(artifact["matrix"])
     conv = parse_gauge("conv:3:lp:2")
-    expect = mazur_forward(MazurParams(Lp(2.0), 3.0), a / norm_ui(conv, a))
+    expect = mazur_forward(a / norm_ui(conv, a), 3.0)
     assert np.allclose(got, expect, atol=1e-13)
     man = artifact["manifest"]
     assert man["command"] == "spectral-mazur map mazur"
@@ -226,14 +227,14 @@ def test_verify_bad_config_values(tmp_path, capsys, config):
 
 
 def test_verify_env_seed_and_flag_precedence(tmp_path, monkeypatch):
+    # the seed comes from --seed, then the config file, then 1; the
+    # environment plays no part
     monkeypatch.setenv("SPECTRAL_MAZUR_SEED", "33")
     out = tmp_path / "r"
     assert main(["verify", "ideal", "--dims", "2", "--samples", "2", "--out", str(out), *TS]) == 0
-    assert json.loads((out / "ideal.report.json").read_text())["config"]["seed"] == 33
+    assert json.loads((out / "ideal.report.json").read_text())["config"]["seed"] == 1
     assert main(["verify", "ideal", "--dims", "2", "--samples", "2", "--seed", "7", "--out", str(out), *TS]) == 0
     assert json.loads((out / "ideal.report.json").read_text())["config"]["seed"] == 7
-    monkeypatch.setenv("SPECTRAL_MAZUR_SEED", "not-an-int")
-    assert main(["verify", "ideal", "--dims", "2", "--samples", "2", "--out", str(out)]) == 2
 
 
 def test_verify_violations_exit_1(tmp_path, capsys):
@@ -303,11 +304,25 @@ def test_modulus_requires_p_for_power_maps(tmp_path):
 @pytest.mark.parametrize("p", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize("kind", ["mazur", "mazur-inv", "entropy-min", "gmap"])
 def test_map_non_finite_p_is_usage_error(state_file, tmp_path, capsys, kind, p):
-    # --p is recorded in the manifest, so it is rejected even where unused
+    # the power maps refuse a non-finite exponent; the other kinds take no --p
     path, _ = state_file
     assert main(["map", kind, path, "--gauge", "lp:2", "--p", p, "--out", str(tmp_path / "o.json"), *TS]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["entropy-min", "gmap", "FX", "FX_inv"])
+def test_p_where_no_map_reads_it_is_usage_error(state_file, tmp_path, capsys, kind):
+    if kind in ("FX", "FX_inv"):
+        argv = ["modulus", kind, "--gauge", "lp:2", "--dims", "2", "--samples", "2"]
+        artifacts = [tmp_path / "x.json", tmp_path / "x.csv"]
+    else:
+        argv = ["map", kind, state_file[0], "--gauge", "lp:2"]
+        artifacts = [tmp_path / "x"]
+    assert main([*argv, "--p", "2", "--out", str(tmp_path / "x"), *TS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "takes no" in err
+    assert not any(path.exists() for path in artifacts)
 
 
 @pytest.mark.parametrize("p", ["inf", "nan"])
@@ -379,3 +394,43 @@ def test_each_subcommand_accepts_the_flags_it_reads(mat_file, state_file, tmp_pa
     config.write_text(json.dumps({"samples_per_case": 2}))
     argv = ["verify", "ideal", *sampled, "--threads", "2", "--config", str(config), "--out", str(tmp_path / "v"), *TS]
     assert main(argv) == 0
+
+
+# ---------------------------------------------------------------------------
+# file I/O: unreadable input and unwritable output are usage errors
+
+
+def test_unwritable_out_is_usage_error(mat_file, tmp_path, capsys):
+    path, _ = mat_file
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    for argv in (
+        ["verify", "holder", "--dims", "2", "--samples", "1", "--out", str(blocker)],
+        ["map", "mazur", path, "--gauge", "lp:2", "--p", "2", "--out", str(blocker / "x.json")],
+        ["modulus", "Gp", "--gauge", "lp:1", "--p", "3", "--dims", "2", "--samples", "2", "--out", str(blocker / "x")],
+    ):
+        assert main([*argv, *TS]) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    for argv in (["norm", str(bad), "--gauge", "lp:2"], ["verify", "holder", "--config", str(bad), "--out", str(tmp_path / "r")]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    # an exception that escapes main() exits 1 with a traceback only in a
+    # real process, so the exit-code contract is checked there too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "spectral_mazur", "verify", "holder", "--dims", "2", "--samples", "1"]
+    ok = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert ok.returncode == 0, ok.stderr
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    bad = subprocess.run([*argv, "--out", str(blocker)], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and bad.stderr.startswith("error:"), bad.stderr
+    assert "Traceback" not in bad.stderr

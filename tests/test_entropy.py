@@ -725,6 +725,20 @@ def test_each_map_diagonalises_its_input_once(monkeypatch):
     assert calls.counts() == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
 
+def test_map_entropy_min_decomposes_psd_input_without_svd(tmp_path, monkeypatch):
+    # PSD input: the probe's eigh gives the trace norm, and check_state
+    # decomposes the state; general input: entropy_min_general's SVD and
+    # eigh, after a probe that stops at its Hermitian check
+    inputs = _map_inputs(np.random.default_rng(57))
+    calls = _LinalgCalls(monkeypatch)
+    for kind, want in (("psd", {"eigh": 2, "eigvalsh": 0, "svd": 0}), ("general", {"eigh": 1, "eigvalsh": 0, "svd": 1})):
+        path = tmp_path / f"{kind}.json"
+        write_matrix(path, inputs[kind] / trace_norm(inputs[kind]))
+        calls.reset()
+        assert main(["map", "entropy-min", str(path), "--gauge", "lp:3", "--out", str(tmp_path / "out.json")]) == 0
+        assert calls.counts() == want, kind
+
+
 def _sampled_states(suite, seed, n, i):
     """The states a sample of ``suite`` draws and minimizes: its first draw,
     and for ``lemma54`` the mixture ``rho2`` too."""

@@ -243,6 +243,13 @@ def test_matrix_file_roundtrip(tmp_path):
     assert np.array_equal(read_matrix(path), a)
 
 
+def test_read_matrix_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(MatrixFormatError):
+        read_matrix(path)
+
+
 def test_matrix_from_json_accepts_artifact_wrapper():
     a = np.eye(2, dtype=complex)
     wrapped = {"matrix": matrix_to_json(a), "manifest": {}}

@@ -28,7 +28,6 @@ import pytest
 
 from spectral_mazur import (
     Lp,
-    MazurParams,
     SuiteConfig,
     check_state,
     eigh_psd,
@@ -557,7 +556,7 @@ def _mazur_entropy(cfg):
         cases = []
         for p in cfg.p_grid:
             f = ref_maps.entropy_min_mat(Lp(p), rho).minimizer
-            root = mazur_inverse(MazurParams(Lp(1.0), p), rho)
+            root = mazur_inverse(rho, p)
             lhs = _l1_herm(f - root)
             cases.append((f"dim={n} i={i} p={_fmt(p)}", lhs, suites_mod._STATE_SIDE_TOL, _payload(dim=n, index=i, p=p, rho=rho)))
         return cases, []
