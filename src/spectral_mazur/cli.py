@@ -106,11 +106,18 @@ def _load_matrix(path: str):
     return matrix_from_json(_read_json(path, "matrix"))
 
 
+def _make_dir(path) -> None:
+    """Create directory ``path``; an unwritable one is a :class:`ConfigError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _write_text(path: str, text: str) -> None:
     out = Path(path)
+    _make_dir(out.parent)
     try:
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
@@ -278,6 +285,7 @@ def _cmd_verify(args) -> int:
     else:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {list(SUITE_NAMES)} or 'all'")
     out_dir = args.out or "reports"
+    _make_dir(out_dir)  # before any suite runs, so an unwritable --out costs no work
 
     failed = False
     for name in names:
@@ -305,8 +313,9 @@ def _cmd_verify(args) -> int:
 def _cmd_modulus(args) -> int:
     cfg = _build_config(args)
     g = parse_gauge(args.gauge)
-    profile = estimate_modulus(args.map, cfg, g, p=args.p)
     base = args.out or "modulus"
+    _make_dir(Path(base).parent)
+    profile = estimate_modulus(args.map, cfg, g, p=args.p)
     manifest = RunManifest(
         command=f"spectral-mazur modulus {args.map}",
         config={

@@ -7,26 +7,38 @@ must vanish at 0), small perturbations with log-uniform magnitude, and
 independent draws.  Observed distances are folded into fixed logarithmic
 bins and post-processed into a monotone envelope.
 
-Two of the maps carry proven Lipschitz-type upper bounds which are checked
-per sample (before binning):
+Every map is a power map between the unit spheres of a base gauge and of its
+``e``-convexification, with a proven bound checked per sample (before
+binning):
 
-- ``Gp``   : p-th power map, unit sphere of the p-convexification into the
-             base sphere; bound ``3 p t``.
-- ``Gp_inv``: p-th root map, base sphere into the p-convexification sphere;
-             bound ``t^(1/p)``.
-- ``FX`` / ``FX_inv``: entropy minimizer / norming state; profiled
-             empirically with no bound curve.
+- ``Gp``    : ``A ↦ A^p``, the p-convexification of ``g`` into ``g``;
+              bound ``3 p t``.
+- ``Gp_inv``: ``A ↦ A^(1/p)``, ``g`` into its p-convexification; bound
+              ``t^(1/p)``.
+- ``FX``    : the entropy minimizer, ``lp:1`` into ``g``; bound ``t^(1/q)``.
+- ``FX_inv``: the norming state, ``g`` into ``lp:1``; bound ``3 q t``.
+
+The entropy maps read their exponent from the gauge: every gauge they accept
+canonicalises to ``lp:q``, the q-convexification of ``lp:1``.  On PSD input
+``FX`` is ``ρ ↦ ρ^(1/q)``, which is ``Gp_inv`` of ``(lp:1, q)``, and Ando's
+inequality for the operator-monotone ``x^(1/q)`` (Ando 1988, "Comparison of
+norms |||f(A)−f(B)||| and |||f(|A−B|)|||"; Birman–Koplienko–Solomyak 1975)
+gives ``‖ρ^(1/q) − σ^(1/q)‖_q ≤ ‖ρ − σ‖_1^(1/q)``.  ``FX_inv`` is
+``A ↦ A^q``, which is ``Gp`` of ``(lp:1, q)``.  ``FX`` also accepts
+``lp:1`` itself (``q = 1``, where it is the identity and the bound ``t`` is
+attained); ``FX_inv`` needs a smooth gauge, ``q > 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..entropy import entropy_min_mat, norming_state
-from ..errors import ConfigError
-from ..gauge import Gauge, convexify, eval_gauge
+from ..errors import ConfigError, NotSmooth
+from ..gauge import Gauge, Lp, _canonical_form, convexify, eval_gauge, format_gauge
 from ..mazur import mazur_forward, mazur_inverse
 from . import sampling
 from .config import SuiteConfig
@@ -58,8 +70,7 @@ class ModulusProfile:
     def to_csv(self) -> str:
         lines = ["t,omega,count,bound"]
         for b in self.bins:
-            bound = "" if b["bound"] is None else f"{b['bound']:.15g}"
-            lines.append(f"{b['t']:.15g},{b['omega']:.15g},{b['count']},{bound}")
+            lines.append(f"{b['t']:.15g},{b['omega']:.15g},{b['count']},{b['bound']:.15g}")
         return "\n".join(lines) + "\n"
 
 
@@ -91,50 +102,40 @@ def estimate_modulus(
     """Estimate the modulus profile of one sphere map under ``gauge``.
 
     ``p`` is required for the power maps ``Gp`` / ``Gp_inv`` and refused
-    otherwise: no other map reads it.  Sample count is ``len(cfg.dims) * cfg.samples_per_case``.
+    otherwise: the entropy maps read their exponent from ``gauge``, whose
+    smoothness (or, for ``FX``, equality with ``lp:1``) is checked before
+    the first sample.  Sample count is ``len(cfg.dims) * cfg.samples_per_case``.
     """
     if map_name not in MAP_NAMES:
         raise ConfigError(f"unknown map {map_name!r}; choose from {list(MAP_NAMES)}")
-    power_map = map_name in ("Gp", "Gp_inv")
-    if power_map:
+    if map_name in ("Gp", "Gp_inv"):
         if p is None:
             raise ConfigError(f"map {map_name!r} requires an exponent p")
-        conv = convexify(gauge, p)
-    elif p is not None:
-        raise ConfigError(f"map {map_name!r} takes no exponent p")
+        base, conv, e = gauge, convexify(gauge, p), p
+        power, root = partial(mazur_forward, p=p), partial(mazur_inverse, p=p)
+    else:
+        if p is not None:
+            raise ConfigError(f"map {map_name!r} takes no exponent p")
+        c = _canonical_form(gauge)
+        if not (gauge.smooth or (map_name == "FX" and c == Lp(1.0))):
+            raise NotSmooth(f"gauge {format_gauge(gauge)} is not smooth")
+        base, conv, e = Lp(1.0), gauge, c.p
+        power = partial(norming_state, gauge)
 
-    if map_name == "Gp":
-        dom, img = conv, gauge
+        def root(b):
+            return entropy_min_mat(gauge, b).minimizer
 
-        def apply(a):
-            return mazur_forward(a, p)
-
-        def bound(t):
-            return 3.0 * p * t
-
-    elif map_name == "Gp_inv":
-        dom, img = gauge, conv
-
-        def apply(a):
-            return mazur_inverse(a, p)
+    if map_name in ("Gp", "FX_inv"):  # the e-th power, from conv onto base
+        dom, img, apply = conv, base, power
 
         def bound(t):
-            return t ** (1.0 / p)
+            return 3.0 * e * t
 
-    elif map_name == "FX":
-        img = gauge
+    else:
+        dom, img, apply = base, conv, root
 
-        def apply(a):
-            return entropy_min_mat(gauge, a).minimizer
-
-        bound = None
-    else:  # FX_inv
-        dom = gauge
-
-        def apply(a):
-            return norming_state(gauge, a)
-
-        bound = None
+        def bound(t):
+            return t ** (1.0 / e)
 
     edges = np.geomspace(_T_MIN, _T_MAX, _NBINS + 1)
     omega = np.zeros(_NBINS)
@@ -145,30 +146,15 @@ def estimate_modulus(
         for i in range(cfg.samples_per_case):
             rng = sampling.make_rng(cfg.seed, "modulus", map_name, n, i)
             kind = i % 8
-            if map_name == "FX":
-                a = sampling.state(rng, n)
-                if kind == 0:
-                    b = a
-                elif kind < 6:
-                    delta = 10.0 ** rng.uniform(-6.5, -0.1)
-                    b = (1.0 - delta) * a + delta * sampling.state(rng, n)
-                else:
-                    b = sampling.state(rng, n)
-                t = float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+            a = _unit_psd(rng, n, dom)
+            if kind == 0:
+                b = a
+            elif kind < 6:
+                b = _perturb_psd(rng, a, dom)
             else:
-                a = _unit_psd(rng, n, dom)
-                if kind == 0:
-                    b = a
-                elif kind < 6:
-                    b = _perturb_psd(rng, a, dom)
-                else:
-                    b = _unit_psd(rng, n, dom)
-                t = _norm_herm(dom, a - b)
-
-            if map_name == "FX_inv":
-                d = float(np.abs(np.linalg.eigvalsh(apply(a) - apply(b))).sum())
-            else:
-                d = _norm_herm(img, apply(a) - apply(b))
+                b = _unit_psd(rng, n, dom)
+            t = _norm_herm(dom, a - b)
+            d = _norm_herm(img, apply(a) - apply(b))
 
             if kind == 0:
                 # identical inputs through a deterministic map: the modulus
@@ -176,11 +162,10 @@ def estimate_modulus(
                 if d != 0.0:
                     bound_violations += 1
                 continue
-            if bound is not None and t > 0.0:
-                if d > bound(t) * (1.0 + cfg.rel_tol) + cfg.abs_tol:
-                    bound_violations += 1
             if t <= 0.0:
                 continue
+            if d > bound(t) * (1.0 + cfg.rel_tol) + cfg.abs_tol:
+                bound_violations += 1
             idx = int(np.searchsorted(edges, t, side="right")) - 1
             idx = min(max(idx, 0), _NBINS - 1)
             counts[idx] += 1
@@ -195,7 +180,7 @@ def estimate_modulus(
                 "t": top,
                 "omega": float(envelope[k]),
                 "count": int(counts[k]),
-                "bound": (float(bound(top)) if bound is not None else None),
+                "bound": float(bound(top)),
             }
         )
     return ModulusProfile(map_name=map_name, bins=tuple(bins), bound_violations=bound_violations)

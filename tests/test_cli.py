@@ -18,6 +18,7 @@ from spectral_mazur import (
     trace_norm,
     write_matrix,
 )
+from spectral_mazur import cli
 from spectral_mazur.cli import main
 from spectral_mazur.errors import NoConvergence
 
@@ -334,9 +335,14 @@ def test_modulus_non_finite_p_is_usage_error(tmp_path, capsys, map_name, p):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_modulus_smoothness_precondition(tmp_path):
-    # the entropy map needs a smooth gauge (operator norm is not)
-    assert main(["modulus", "FX", "--gauge", "kyfan:1", "--dims", "2", "--samples", "4", "--out", str(tmp_path / "x")]) == 4
+def test_modulus_smoothness_precondition(tmp_path, capsys):
+    # the entropy map takes a smooth gauge or lp:1 (operator norm is
+    # neither), the norming state a smooth gauge (trace norm is not)
+    for map_name, gauge in (("FX", "kyfan:1"), ("FX_inv", "lp:1")):
+        argv = ["modulus", map_name, "--gauge", gauge, "--dims", "2", "--samples", "4", "--out", str(tmp_path / "x")]
+        assert main(argv) == 4, map_name
+        assert capsys.readouterr().err.startswith("precondition violated: smooth-gauge:"), map_name
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists(), map_name
 
 
 def test_modulus_rerun_byte_identical(tmp_path):
@@ -400,17 +406,26 @@ def test_each_subcommand_accepts_the_flags_it_reads(mat_file, state_file, tmp_pa
 # file I/O: unreadable input and unwritable output are usage errors
 
 
-def test_unwritable_out_is_usage_error(mat_file, tmp_path, capsys):
+def test_unwritable_out_is_usage_error(mat_file, tmp_path, capsys, monkeypatch):
+    # verify and modulus make their output directory before the first suite
+    # or profile runs, so neither is called
+    calls = []
+    monkeypatch.setattr(cli, "run_inequality_suite", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "estimate_modulus", lambda *a, **k: calls.append(a))
     path, _ = mat_file
     blocker = tmp_path / "F"
     blocker.write_text("")
     for argv in (
         ["verify", "holder", "--dims", "2", "--samples", "1", "--out", str(blocker)],
+        ["verify", "all", "--out", str(blocker / "sub")],
         ["map", "mazur", path, "--gauge", "lp:2", "--p", "2", "--out", str(blocker / "x.json")],
         ["modulus", "Gp", "--gauge", "lp:1", "--p", "3", "--dims", "2", "--samples", "2", "--out", str(blocker / "x")],
+        ["modulus", "FX", "--gauge", "lp:2", "--out", str(blocker / "sub" / "x")],
     ):
         assert main([*argv, *TS]) == 2, argv
-        assert capsys.readouterr().err.startswith("error:"), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err, argv
+    assert calls == []
 
 
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from spectral_mazur import (
-    Dual,
     KyFan,
     Lp,
     dual_gauge,
     duality_map_mat,
     eigh_psd,
-    eval_gauge,
     matrix_from_json,
     matrix_power,
     matrix_to_json,

@@ -1,5 +1,7 @@
 """Verification harness: suite runner, determinism, sampling, modulus."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from spectral_mazur import (
     run_inequality_suite,
 )
 from spectral_mazur.cli import main
-from spectral_mazur.errors import ConfigError, DimensionTooLarge, NumericalFailure, UnknownSuite
+from spectral_mazur.errors import ConfigError, DimensionTooLarge, NotSmooth, NumericalFailure, UnknownSuite
 from spectral_mazur.verify import CORE_SUITE_NAMES, dumps_json, make_rng
+from spectral_mazur.verify import modulus as modulus_mod
 from spectral_mazur.verify import sampling
 from spectral_mazur.verify import suites as suites_mod
 
@@ -230,11 +233,41 @@ def test_modulus_inverse_and_entropy_maps():
     cfg = SuiteConfig(seed=1, dims=(2, 3), samples_per_case=24)
     prof = estimate_modulus("Gp_inv", cfg, parse_gauge("lp:2"), p=2.0)
     assert prof.bound_violations == 0
-    proffx = estimate_modulus("FX", cfg, parse_gauge("lp:2"))
-    assert proffx.bound_violations == 0
-    assert all(b["bound"] is None for b in proffx.bins)
-    proffxi = estimate_modulus("FX_inv", cfg, parse_gauge("lp:2"))
-    assert proffxi.bound_violations == 0
+    for name in ("FX", "FX_inv"):
+        prof = estimate_modulus(name, cfg, parse_gauge("lp:2"))
+        assert prof.bound_violations == 0
+        assert all(isinstance(b["bound"], float) for b in prof.bins)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_modulus_fx_bound_is_nearly_attained(seed):
+    # at lp:1 the entropy map is the identity, so its bound t^(1/1) is sharp
+    cfg = SuiteConfig(seed=seed, dims=(2, 3, 5), samples_per_case=48)
+    prof = estimate_modulus("FX", cfg, parse_gauge("lp:1"))
+    assert prof.bound_violations == 0
+    assert max(b["omega"] / b["bound"] for b in prof.bins if b["count"]) >= 0.98
+
+
+@pytest.mark.parametrize("gauge", ["lp:1.5", "lp:4", "conv:3:lp:2"])
+@pytest.mark.parametrize("name", ["FX", "FX_inv"])
+def test_modulus_entropy_maps_stay_under_bounds(name, gauge):
+    cfg = SuiteConfig(seed=1, dims=(2, 3, 5), samples_per_case=48)
+    assert estimate_modulus(name, cfg, parse_gauge(gauge)).bound_violations == 0
+
+
+def test_modulus_counts_violations_of_a_stretched_map(monkeypatch):
+    # the profiler checks each sample of the entropy maps against its bound:
+    # a map that stretches its output tenfold breaks it
+    norming, minimizer = modulus_mod.norming_state, modulus_mod.entropy_min_mat
+
+    def stretched_min(g, rho):
+        rep = minimizer(g, rho)
+        return dataclasses.replace(rep, minimizer=10.0 * rep.minimizer)
+
+    monkeypatch.setattr(modulus_mod, "norming_state", lambda g, a: 10.0 * norming(g, a))
+    monkeypatch.setattr(modulus_mod, "entropy_min_mat", stretched_min)
+    for name in ("FX", "FX_inv"):
+        assert estimate_modulus(name, SMALL, parse_gauge("lp:2")).bound_violations > 0, name
 
 
 def test_modulus_vanishes_at_zero_distance():
@@ -256,3 +289,15 @@ def test_modulus_config_errors():
     for name in ("FX", "FX_inv"):
         with pytest.raises(ConfigError):
             estimate_modulus(name, SMALL, Lp(2.0), p=2.0)  # no exponent to read
+
+
+@pytest.mark.parametrize(("name", "gauge"), [("FX", "kyfan:1"), ("FX", "lp:inf"), ("FX_inv", "lp:1"), ("FX_inv", "conv:2:kyfan:2")])
+def test_modulus_entropy_precondition_before_any_sample(monkeypatch, name, gauge):
+    # FX takes a smooth gauge or lp:1, FX_inv a smooth gauge; anything else
+    # is refused before a generator is made
+    def no_sample(*key):
+        raise AssertionError(f"sampled {key}")
+
+    monkeypatch.setattr(sampling, "make_rng", no_sample)
+    with pytest.raises(NotSmooth):
+        estimate_modulus(name, SMALL, parse_gauge(gauge))
