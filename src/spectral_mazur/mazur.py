@@ -43,31 +43,32 @@ def _check_power(p) -> float:
     return p
 
 
-def _svd_power(a, p: float) -> np.ndarray:
-    """``u |a|^p`` computed as ``U diag(s^p) V†`` from one SVD.
+def _svd_powers(a, exponents) -> list[np.ndarray]:
+    """``u |a|^e`` for each exponent ``e``, computed as ``U diag(s^e) V†`` from one SVD.
 
     Equal to composing the polar decomposition with a PSD power: the polar
     isometry differs from the full unitary only off the support of ``|a|``,
-    where ``|a|^p`` vanishes, so the value is unchanged.  Powering the
+    where ``|a|^e`` vanishes, so the value is unchanged.  Powering the
     singular values directly keeps tiny ones at full relative accuracy, which
-    the forward/inverse roundtrip depends on.
+    the forward/inverse roundtrip depends on.  Every power reads the same
+    decomposition, so each gets the bits a call with it alone would give.
     """
     m = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"SVD failed: {exc}") from exc
-    return (u * s**p) @ vh
+    return [(u * s**e) @ vh for e in exponents]
 
 
 def mazur_forward(a, p) -> np.ndarray:
     """Apply ``A = u|A| -> u |A|^p`` for a finite ``p >= 1``."""
-    return _svd_power(a, _check_power(p))
+    return _svd_powers(a, (_check_power(p),))[0]
 
 
 def mazur_inverse(b, p) -> np.ndarray:
     """Apply ``B = v|B| -> v |B|^(1/p)``, the inverse of the forward map."""
-    return _svd_power(b, 1.0 / _check_power(p))
+    return _svd_powers(b, (1.0 / _check_power(p),))[0]
 
 
 def tilde_selfadjoint(x) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from ..entropy import entropy_min_mat, norming_state
 from ..errors import ConfigError, NotSmooth
 from ..gauge import Gauge, Lp, _canonical_form, convexify, eval_gauge, format_gauge
-from ..mazur import mazur_forward, mazur_inverse
+from ..mazur import _check_power, mazur_forward, mazur_inverse
 from . import sampling
 from .config import SuiteConfig
 
@@ -83,34 +83,28 @@ def _norm_herm(g: Gauge, h: np.ndarray) -> float:
 
 
 def _unit_psd(rng: np.random.Generator, n: int, g: Gauge) -> np.ndarray:
-    a = sampling.psd(rng, n)
+    a = sampling.psd([rng], n)[0]
     return a / _norm_herm(g, a)
 
 
 def _perturb_psd(rng: np.random.Generator, a: np.ndarray, g: Gauge) -> np.ndarray:
     delta = 10.0 ** rng.uniform(-6.5, 0.3)
-    b = a + delta * sampling.psd(rng, a.shape[0])
+    b = a + delta * sampling.psd([rng], a.shape[0])[0]
     return b / _norm_herm(g, b)
 
 
-def estimate_modulus(
-    map_name: str,
-    cfg: SuiteConfig,
-    gauge: Gauge,
-    p: float | None = None,
-) -> ModulusProfile:
-    """Estimate the modulus profile of one sphere map under ``gauge``.
+def _sphere_map(map_name: str, gauge: Gauge, p: float | None):
+    """``(domain gauge, image gauge, map, bound)`` of one sphere map.
 
-    ``p`` is required for the power maps ``Gp`` / ``Gp_inv`` and refused
-    otherwise: the entropy maps read their exponent from ``gauge``, whose
-    smoothness (or, for ``FX``, equality with ``lp:1``) is checked before
-    the first sample.  Sample count is ``len(cfg.dims) * cfg.samples_per_case``.
+    Every argument and precondition check of :func:`estimate_modulus` is
+    made here, so a caller can refuse a call before it does any work.
     """
     if map_name not in MAP_NAMES:
         raise ConfigError(f"unknown map {map_name!r}; choose from {list(MAP_NAMES)}")
     if map_name in ("Gp", "Gp_inv"):
         if p is None:
             raise ConfigError(f"map {map_name!r} requires an exponent p")
+        _check_power(p)
         base, conv, e = gauge, convexify(gauge, p), p
         power, root = partial(mazur_forward, p=p), partial(mazur_inverse, p=p)
     else:
@@ -136,6 +130,25 @@ def estimate_modulus(
 
         def bound(t):
             return t ** (1.0 / e)
+
+    return dom, img, apply, bound
+
+
+def estimate_modulus(
+    map_name: str,
+    cfg: SuiteConfig,
+    gauge: Gauge,
+    p: float | None = None,
+) -> ModulusProfile:
+    """Estimate the modulus profile of one sphere map under ``gauge``.
+
+    ``p`` is required for the power maps ``Gp`` / ``Gp_inv``, where it must
+    be finite, and refused otherwise: the entropy maps read their exponent
+    from ``gauge``, whose smoothness (or, for ``FX``, equality with
+    ``lp:1``) is checked before the first sample.  Sample count is
+    ``len(cfg.dims) * cfg.samples_per_case``.
+    """
+    dom, img, apply, bound = _sphere_map(map_name, gauge, p)
 
     edges = np.geomspace(_T_MIN, _T_MAX, _NBINS + 1)
     omega = np.zeros(_NBINS)

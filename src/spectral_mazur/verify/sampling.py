@@ -4,6 +4,17 @@ Each sample is produced by a generator seeded from
 ``(config seed, suite name, dimension, sample index)``, so any sample can be
 regenerated in isolation: partitioning the stream across workers cannot
 change it, which is what makes the concurrency of the harness safe.
+
+Every sampler takes a list of generators, one per sample, and returns one
+stacked array (or, for ``ucptp_mixture``, a pair of them) whose k-th entry
+is the k-th generator's sample.  The call-order contract: each generator
+receives the same calls, in the same order, as when it is the only entry of
+the list, and the arithmetic after the draws runs once per stack with the
+same bits per entry.  So a sample depends neither on the other generators
+of its stack nor on the stack's size, and a caller with one sample passes a
+one-element list.  A sampler that draws several matrices per generator
+draws them generator by generator: all of the first generator's, then all
+of the second's.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import zlib
 import numpy as np
 
 from ..errors import ConfigError
+from ..matnorm import _adj
 
 __all__ = [
     "make_rng",
@@ -35,64 +47,74 @@ def _key_part(part) -> int:
 
 
 def make_rng(*key) -> np.random.Generator:
-    """Generator keyed by a mixed int/str tuple, stable across platforms."""
-    return np.random.default_rng(np.random.SeedSequence([_key_part(k) for k in key]))
+    """Generator keyed by a mixed int/str tuple, stable across platforms.
 
-
-def ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    """iid standard complex Gaussian entries (variance 1 per entry).
-
-    One draw of ``2 n^2`` normals: the real parts, then the imaginary parts,
-    in the order (and with the bits) of two ``(n, n)`` draws.
+    Each key part is one 32-bit word, so seeding ``SeedSequence`` from a
+    ``uint32`` array gives the state a list of the same ints gives, without
+    converting the ints one by one.
     """
-    d = rng.standard_normal((2, n, n))
-    z = np.empty((n, n), dtype=np.complex128)
-    z.real = d[0]
-    z.imag = d[1]
+    words = np.array([_key_part(k) for k in key], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def ginibre(rngs, n: int) -> np.ndarray:
+    """iid standard complex Gaussian entries (variance 1 per entry), ``(k, n, n)``.
+
+    One draw of ``2 n^2`` normals per generator: the real parts, then the
+    imaginary parts, in the order (and with the bits) of two ``(n, n)``
+    draws.
+    """
+    d = np.empty((len(rngs), 2, n, n))
+    for rng, out in zip(rngs, d):
+        rng.standard_normal(out=out)
+    z = np.empty((len(rngs), n, n), dtype=np.complex128)
+    z.real = d[:, 0]
+    z.imag = d[:, 1]
     z /= np.sqrt(2.0)
     return z
 
 
-def hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = ginibre(rng, n)
-    return 0.5 * (g + g.conj().T)
+def hermitian(rngs, n: int) -> np.ndarray:
+    g = ginibre(rngs, n)
+    return 0.5 * (g + _adj(g))
 
 
-def psd(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Wishart matrix ``G G† / n``; almost surely full rank."""
-    g = ginibre(rng, n)
-    w = g @ g.conj().T / n
-    return 0.5 * (w + w.conj().T)
+def psd(rngs, n: int) -> np.ndarray:
+    """Wishart matrices ``G G† / n``; almost surely full rank."""
+    g = ginibre(rngs, n)
+    w = g @ _adj(g) / n
+    return 0.5 * (w + _adj(w))
 
 
-def state(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = psd(rng, n)
-    return w / float(np.trace(w).real)
+def state(rngs, n: int) -> np.ndarray:
+    w = psd(rngs, n)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR."""
-    q, r = np.linalg.qr(ginibre(rng, n))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def unitary(rngs, n: int) -> np.ndarray:
+    """Haar-distributed unitaries via phase-corrected QR."""
+    q, r = np.linalg.qr(ginibre(rngs, n))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def ucptp_mixture(rng: np.random.Generator, n: int):
-    """Random mixture of three unitary conjugations ``z -> sum_i lam_i U_i z U_i†``.
+def ucptp_mixture(rngs, n: int):
+    """Random mixtures of three unitary conjugations ``z -> sum_i lam_i U_i z U_i†``.
 
     Unital, completely positive, and trace preserving; contracts every
-    unitarily invariant norm.  Returns ``(weights, unitaries)``.
+    unitarily invariant norm.  Returns ``(weights, unitaries)`` of shapes
+    ``(k, 3)`` and ``(k, 3, n, n)``.
     """
-    lam = rng.exponential(size=3)
-    lam = lam / lam.sum()
-    us = [unitary(rng, n) for _ in range(lam.size)]
-    return lam, us
+    lam = np.array([rng.exponential(size=3) for rng in rngs])
+    lam = lam / lam.sum(axis=1, keepdims=True)
+    us = unitary([rng for rng in rngs for _ in range(3)], n)
+    return lam, us.reshape(len(rngs), 3, n, n)
 
 
 def apply_mixture(mix, z: np.ndarray) -> np.ndarray:
     lam, us = mix
     out = np.zeros_like(z)
-    for w, u in zip(lam, us):
-        out = out + w * (u @ z @ u.conj().T)
+    for j in range(lam.shape[1]):
+        u = us[:, j]
+        out = out + lam[:, j, None, None] * (u @ z @ _adj(u))
     return out
-

@@ -10,18 +10,21 @@ Concurrency model: the samples of each dimension are cut into blocks of at
 most ``_BLOCK_SAMPLES`` consecutive indices, and a worker evaluates one block.
 Every sample still draws from its own generator, keyed by
 ``(seed, suite, dim, index)`` and never by its block, so neither the block
-size nor the number of threads can change what a sample is.  A worker stacks
-its block's matrices and runs LAPACK, matmul and ``rel_entropy`` once per
-stacked array.  It then builds every spectrum array it needs and evaluates
-them with one ``eval_gauge_rows`` call per canonical gauge and width.  Per
-matrix and per row these give the same bits as one call per sample.
-``lemma54``, ``roundtrip`` and ``mazur_entropy`` still run sample by sample,
-because their solvers take one matrix at a time; they solve once per
-canonical gauge (or exponent), and each sampled state is validated and
-diagonalised once by ``check_state``, whose result every solve of that state
-takes in place of the matrix.  Blocks are merged in index order, which keeps
-cases and violations in sample order, so the report bytes do not depend on
-the number of threads.
+size nor the number of threads can change what a sample is.  A worker makes
+the generators of its block and draws the whole block through the stacked
+samplers of ``sampling``, which give every generator the calls it would get
+alone; draws that depend on a sample's variant go by variant group.  It
+runs LAPACK, matmul and ``rel_entropy`` once per stacked array.  It then
+builds every spectrum array it needs and evaluates them with one
+``eval_gauge_rows`` call per canonical gauge and width.  Per matrix and per
+row these give the same bits as one call per sample.  ``lemma54``,
+``roundtrip`` and ``mazur_entropy`` draw their block the same way but then
+solve sample by sample, because their solvers take one matrix at a time;
+they solve once per canonical gauge (or exponent), and each sampled state
+is validated and diagonalised once by ``check_state``, whose result every
+solve of that state takes in place of the matrix.  Blocks are merged in
+index order, which keeps cases and violations in sample order, so the
+report bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ..entropy import check_state, entropy_min_general, entropy_min_mat, norming
 from ..errors import NumericalFailure, UnknownSuite
 from ..gauge import Lp, _canonical_form, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, _adj, matrix_to_json
-from ..mazur import mazur_inverse
+from ..mazur import _svd_powers
 from . import sampling
 from .config import SuiteConfig, SuiteReport, Violation
 
@@ -147,41 +150,44 @@ def _psd_log(m: np.ndarray) -> np.ndarray:
     return (w * np.log(np.clip(lam, floor, None))[..., None, :]) @ _adj(w)
 
 
-def _contraction(rng: np.random.Generator, n: int, variant: int) -> tuple[np.ndarray, bool]:
-    """A draw for a matrix with operator norm exactly 1, in one of three shapes.
+def _rngs(cfg: SuiteConfig, suite: str, n: int, indices: range) -> list:
+    """The generators of a block, one per sample, each keyed by the sample alone."""
+    return [sampling.make_rng(cfg.seed, suite, n, i) for i in indices]
+
+
+def _pick(rngs: list, rows: np.ndarray) -> list:
+    """The generators of the rows where ``rows`` is true."""
+    return [rng for rng, keep in zip(rngs, rows.tolist()) if keep]
+
+
+def _corner(n: int, variants: np.ndarray) -> np.ndarray:
+    """Rows of variant 2 when there is room for the corner block: n >= 2."""
+    return (variants == 2) & (n >= 2)
+
+
+def _contraction(rngs: list, n: int, variants) -> np.ndarray:
+    """One matrix with operator norm exactly 1 per generator, in one of three shapes.
 
     Variants: scaled Ginibre, scaled Hermitian, or the corner block
     ``[[0, I], [0, 0]]`` (padded when n is odd) — the structured matrix whose
-    commutators select block differences.  Returns the matrix and whether it
-    still has to be scaled by its operator norm (see :func:`_contractions`).
+    commutators select block differences; at n = 1 variant 2 is Ginibre.
+    Each variant group draws from its own generators, one draw each, and the
+    drawn matrices are scaled by their operator norms.
     """
-    if variant == 2 and n >= 2:
+    variants = np.asarray(variants)
+    corner = _corner(n, variants)
+    herm = variants == 1
+    b = np.zeros((len(rngs), n, n), dtype=complex)
+    if corner.any():
         m = n // 2
-        b = np.zeros((n, n), dtype=complex)
-        b[:m, m : 2 * m] = np.eye(m)
-        return b, False
-    if variant == 1:
-        return sampling.hermitian(rng, n), True
-    return sampling.ginibre(rng, n), True
-
-
-def _contractions(draws) -> np.ndarray:
-    """Stack :func:`_contraction` draws, scaling those that need it."""
-    b = np.stack([m for m, _ in draws])
-    scale = np.array([s for _, s in draws])
+        b[corner, :m, m : 2 * m] = np.eye(m)
+    for rows, draw in ((herm, sampling.hermitian), (~(herm | corner), sampling.ginibre)):
+        if rows.any():
+            b[rows] = draw(_pick(rngs, rows), n)
+    scale = ~corner
     if scale.any():
         b[scale] = b[scale] / _svals(b[scale])[:, :1, None]
     return b
-
-
-def _draws(cfg: SuiteConfig, suite: str, n: int, indices: range, draw) -> list:
-    """``draw(rng)`` for each sample of the block, from the sample's own generator."""
-    return [draw(sampling.make_rng(cfg.seed, suite, n, i)) for i in indices]
-
-
-def _stack(draws) -> tuple[np.ndarray, ...]:
-    """Per-sample tuples of matrices to one stacked array per position."""
-    return tuple(map(np.stack, zip(*draws)))
 
 
 def _payload(kw: dict) -> dict:
@@ -257,12 +263,17 @@ class _Cases:
         )
 
 
-def _per_sample(body):
-    """Block worker running ``body(n, i) -> [(label, lhs, rhs, payload fields)]``
-    sample by sample, for the suites whose solvers take one matrix at a time."""
+def _per_sample(cfg: SuiteConfig, suite: str, draw, body):
+    """Block worker for the suites whose solvers take one matrix at a time.
+
+    ``draw(rngs, n)`` draws the block as a tuple of stacked arrays (or
+    lists), one entry per sample; then ``body(n, i, *row) -> [(label, lhs,
+    rhs, payload fields)]`` runs sample by sample on sample i's entries.
+    """
 
     def worker(n, indices):
-        cases = [case for i in indices for case in body(n, i)]
+        drawn = draw(_rngs(cfg, suite, n, indices), n)
+        cases = [case for j, i in enumerate(indices) for case in body(n, i, *(a[j] for a in drawn))]
         return _Block([c[1] for c in cases], [c[2] for c in cases], lambda k: (cases[k][0], cases[k][3]))
 
     return worker
@@ -277,7 +288,8 @@ def _holder(cfg: SuiteConfig):
     triples = ((2.0, 2.0, 1.0), (3.0, 1.5, 1.0), (4.0, 4.0, 2.0))
 
     def worker(n, idx):
-        a, b = _stack(_draws(cfg, "holder", n, idx, lambda rng: (sampling.ginibre(rng, n), sampling.ginibre(rng, n))))
+        rngs = _rngs(cfg, "holder", n, idx)
+        a, b = sampling.ginibre(rngs, n), sampling.ginibre(rngs, n)
         sa, sb, sab = _svals(a), _svals(b), _svals(a @ b)
         spectra = {}
         for p, q, r in triples:
@@ -303,7 +315,8 @@ def _ideal(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        a, b, c = _stack(_draws(cfg, "ideal", n, idx, lambda rng: tuple(sampling.ginibre(rng, n) for _ in range(3))))
+        rngs = _rngs(cfg, "ideal", n, idx)
+        a, b, c = (sampling.ginibre(rngs, n) for _ in range(3))
         table = _gauge_table(gauges, {"ABC": _svals(a @ b @ c), "B": _svals(b)})
         opa = _svals(a)[:, 0]
         opc = _svals(c)[:, 0]
@@ -323,12 +336,10 @@ def _contraction_transfer(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        def draw(rng):
-            z = sampling.ginibre(rng, n)
-            mix = sampling.ucptp_mixture(rng, n)
-            return z, sampling.apply_mixture(mix, z), mix[0]
-
-        z, w, weights = _stack(_draws(cfg, "contraction_transfer", n, idx, draw))
+        rngs = _rngs(cfg, "contraction_transfer", n, idx)
+        z = sampling.ginibre(rngs, n)
+        mix = sampling.ucptp_mixture(rngs, n)
+        w, weights = sampling.apply_mixture(mix, z), mix[0]
         table = _gauge_table(gauges, {"z": _svals(z), "w": _svals(w)})
         cases = _Cases()
         for gs, _ in gauges:
@@ -346,44 +357,37 @@ def _fan_dominance(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        def draw(rng):
-            b = sampling.ginibre(rng, n)
-            variant = int(rng.integers(3))
-            if variant == 0:
-                mix = rng.uniform(0.0, 1.0, size=n)
-            elif variant == 1:
-                mix = [rng.permutation(n) for _ in range(3)]
-            else:
-                mix = float(rng.uniform(0.2, 1.0))
-            return b, variant, mix
-
-        draws = _draws(cfg, "fan_dominance", n, idx, draw)
-        sbs = _svals(np.stack([b for b, _, _ in draws]))
-        rows = []  # (index, variant, sa, sb) of the samples kept
-        for i, (_, variant, mix), sb in zip(idx, draws, sbs):
-            if variant == 0:
-                sa = _desc(sb * mix)
-            elif variant == 1:
-                # average over random permutations: doubly stochastic mixing
-                acc = np.zeros(n)
-                for perm in mix:
-                    acc += sb[perm]
-                sa = _desc(acc / 3.0)
-            else:
-                sa = sb * mix
-            # defensive: partial-sum dominance must hold by construction
-            if not np.any(np.cumsum(sa) > np.cumsum(sb) + 1e-12):
-                rows.append((i, variant, sa, sb))
-        if not rows:
+        rngs = _rngs(cfg, "fan_dominance", n, idx)
+        sb = _svals(sampling.ginibre(rngs, n))
+        variants = np.array([int(rng.integers(3)) for rng in rngs])
+        sa = np.empty_like(sb)
+        rows = variants == 0
+        if rows.any():
+            sa[rows] = _desc(sb[rows] * np.array([rng.uniform(0.0, 1.0, size=n) for rng in _pick(rngs, rows)]))
+        rows = variants == 1
+        if rows.any():
+            # average over random permutations: doubly stochastic mixing
+            perms = np.array([[rng.permutation(n) for _ in range(3)] for rng in _pick(rngs, rows)])
+            acc = np.zeros((len(perms), n))
+            for k in range(3):
+                acc += np.take_along_axis(sb[rows], perms[:, k], axis=1)
+            sa[rows] = _desc(acc / 3.0)
+        rows = variants == 2
+        if rows.any():
+            sa[rows] = sb[rows] * np.array([float(rng.uniform(0.2, 1.0)) for rng in _pick(rngs, rows)])[:, None]
+        # defensive: partial-sum dominance must hold by construction
+        kept = np.flatnonzero(~np.any(np.cumsum(sa, axis=1) > np.cumsum(sb, axis=1) + 1e-12, axis=1))
+        if not kept.size:
             return _EMPTY
-        table = _gauge_table(gauges, {"a": np.array([r[2] for r in rows]), "b": np.array([r[3] for r in rows])})
+        table = _gauge_table(gauges, {"a": sa[kept], "b": sb[kept]})
         cases = _Cases()
         for gs, _ in gauges:
             cases.add(gs, table[gs]["a"], table[gs]["b"])
 
         def describe(j, gs):
-            i, variant, sa, sb = rows[j]
-            payload = dict(dim=n, index=i, gauge=gs, variant=variant, sa=list(map(float, sa)), sb=list(map(float, sb)))
+            k = kept[j]
+            i, variant = idx[k], int(variants[k])
+            payload = dict(dim=n, index=i, gauge=gs, variant=variant, sa=list(map(float, sa[k])), sb=list(map(float, sb[k])))
             return f"dim={n} i={i} g={gs} variant={variant}", payload
 
         return cases.block(describe)
@@ -391,15 +395,12 @@ def _fan_dominance(cfg: SuiteConfig):
     return worker
 
 
-def _psd_pair(cfg: SuiteConfig, suite: str, n: int, idx: range):
-    return _stack(_draws(cfg, suite, n, idx, lambda rng: (sampling.psd(rng, n), sampling.psd(rng, n))))
-
-
 def _lemma41(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        x, y = _psd_pair(cfg, "lemma41", n, idx)
+        rngs = _rngs(cfg, "lemma41", n, idx)
+        x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         sdiff = _habs(x - y)
@@ -427,7 +428,8 @@ def _lemma42(cfg: SuiteConfig):
     thetas = (0.25, 0.5, 0.75, 1.0)
 
     def worker(n, idx):
-        x, y = _psd_pair(cfg, "lemma42", n, idx)
+        rngs = _rngs(cfg, "lemma42", n, idx)
+        x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
@@ -458,7 +460,8 @@ def _cor43(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        x, y = _psd_pair(cfg, "cor43", n, idx)
+        rngs = _rngs(cfg, "cor43", n, idx)
+        x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
@@ -487,20 +490,18 @@ def _lemma44(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        def draw(rng):
-            variant = int(rng.integers(3))
-            if variant == 2 and n >= 2:
-                m = n // 2
-                x = np.zeros((n, n), dtype=complex)
-                x[:m, :m] = sampling.psd(rng, m)
-                x[m : 2 * m, m : 2 * m] = sampling.psd(rng, m)
-            else:
-                x = sampling.psd(rng, n)
-            return variant, x, _contraction(rng, n, variant)
-
-        draws = _draws(cfg, "lemma44", n, idx, draw)
-        x = np.stack([d[1] for d in draws])
-        b = _contractions([d[2] for d in draws])
+        rngs = _rngs(cfg, "lemma44", n, idx)
+        variants = np.array([int(rng.integers(3)) for rng in rngs])
+        # variant 2: block-diagonal x, two half-size draws per generator
+        split = _corner(n, variants)
+        x = np.zeros((len(idx), n, n), dtype=complex)
+        if split.any():
+            m, halves = n // 2, _pick(rngs, split)
+            x[split, :m, :m] = sampling.psd(halves, m)
+            x[split, m : 2 * m, m : 2 * m] = sampling.psd(halves, m)
+        if not split.all():
+            x[~split] = sampling.psd(_pick(rngs, ~split), n)
+        b = _contraction(rngs, n, variants)
         lx, wx = _eigh_clip(x)
         lxd = _desc(lx)
         s1 = _svals(x @ b - b @ x)
@@ -521,7 +522,7 @@ def _lemma44(cfg: SuiteConfig):
 
         def describe(j, key):
             gs, p, part = key
-            payload = dict(dim=n, index=idx[j], gauge=gs, p=p, variant=draws[j][0], x=x[j], b=b[j])
+            payload = dict(dim=n, index=idx[j], gauge=gs, p=p, variant=int(variants[j]), x=x[j], b=b[j])
             return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)} {part}", payload
 
         return cases.block(describe)
@@ -533,17 +534,18 @@ def _lemma45(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        def draw(rng):
-            x = sampling.psd(rng, n)
-            y = x if int(rng.integers(2)) == 1 else sampling.psd(rng, n)
-            return x, y, _contraction(rng, n, int(rng.integers(3)))
-
-        draws = _draws(cfg, "lemma45", n, idx, draw)
-        x, y = _stack([d[:2] for d in draws])
-        b = _contractions([d[2] for d in draws])
+        rngs = _rngs(cfg, "lemma45", n, idx)
+        x = sampling.psd(rngs, n)
+        drawn = np.array([int(rng.integers(2)) != 1 for rng in rngs])  # else y = x
+        y = x.copy()
+        if drawn.any():
+            y[drawn] = sampling.psd(_pick(rngs, drawn), n)
+        b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
         opb = _svals(b)[:, 0]
         lx, wx = _eigh_clip(x)
-        ly, wy = _eigh_clip(y)
+        ly, wy = lx.copy(), wx.copy()
+        if drawn.any():  # only the drawn y need their own decomposition
+            ly[drawn], wy[drawn] = _eigh_clip(y[drawn])
         desc = {"both": _desc(np.concatenate([lx, ly], axis=-1)), "x": _desc(lx), "y": _desc(ly)}
         s0 = _svals(x @ b + b @ y)
         spectra = {}
@@ -582,14 +584,15 @@ def _schur(cfg: SuiteConfig):
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def worker(n, idx):
-        def draw(rng):
-            return sampling.psd(rng, n), sampling.psd(rng, n), sampling.ginibre(rng, n)
-
-        a, b, xmat = _stack(_draws(cfg, "schur", n, idx, draw))
+        rngs = _rngs(cfg, "schur", n, idx)
+        a, b, xmat = sampling.psd(rngs, n), sampling.psd(rngs, n), sampling.ginibre(rngs, n)
         la, wa = _eigh_clip(a)
         lb, wb = _eigh_clip(b)
         spectra = {"ref": _svals(a @ xmat + xmat @ b)}
-        for alpha in alphas:
+        # alpha and 1 - alpha share one sum: 1 - alpha is exact on the grid,
+        # and the two terms only trade places, which IEEE addition ignores
+        pair = {alpha: min(alpha, 1.0 - alpha) for alpha in alphas}
+        for alpha in sorted(set(pair.values())):
             left = _power(la, wa, 1.0 - alpha) @ xmat @ _power(lb, wb, alpha)
             right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
             spectra[alpha] = _svals(left + right)
@@ -597,7 +600,7 @@ def _schur(cfg: SuiteConfig):
         cases = _Cases()
         for alpha in alphas:
             for gs, _ in gauges:
-                cases.add((gs, alpha), table[gs][alpha], table[gs]["ref"])
+                cases.add((gs, alpha), table[gs][pair[alpha]], table[gs]["ref"])
 
         def describe(j, key):
             gs, alpha = key
@@ -613,9 +616,9 @@ def _lemma47(cfg: SuiteConfig):
     gauges = cfg.parsed_gauges()
 
     def worker(n, idx):
-        draws = _draws(cfg, "lemma47", n, idx, lambda rng: (sampling.hermitian(rng, n), _contraction(rng, n, int(rng.integers(3)))))
-        x = np.stack([d[0] for d in draws])
-        b = _contractions([d[1] for d in draws])
+        rngs = _rngs(cfg, "lemma47", n, idx)
+        x = sampling.hermitian(rngs, n)
+        b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
         e, wx = np.linalg.eigh(x)
         eabs = _desc(np.abs(e))
         s1 = _svals(x @ b - b @ x)
@@ -649,20 +652,19 @@ def _lemma47(cfg: SuiteConfig):
 
 def _entropy_props(cfg: SuiteConfig):
     def worker(n, idx):
-        def draw(rng):
-            rho = sampling.state(rng, n)
-            sig = sampling.psd(rng, n)
-            sig2 = sig + sampling.psd(rng, n)
-            c = float(rng.uniform(0.2, 5.0))
-            lam = rng.exponential(size=3)
-            lam = lam / lam.sum()
-            rhos = [sampling.state(rng, n) for _ in range(3)]
-            sigs = [sampling.psd(rng, n) for _ in range(3)]
-            mix_r = sum(w * r for w, r in zip(lam, rhos))
-            mix_s = sum(w * s for w, s in zip(lam, sigs))
-            return rho, np.stack([sig, sig2, c * sig]), mix_r, mix_s, np.stack(rhos), np.stack(sigs), lam, c
-
-        rho, sig3, mix_r, mix_s, rhos, sigs, lam, c = _stack(_draws(cfg, "entropy_props", n, idx, draw))
+        rngs = _rngs(cfg, "entropy_props", n, idx)
+        rho = sampling.state(rngs, n)
+        sig = sampling.psd(rngs, n)
+        sig2 = sig + sampling.psd(rngs, n)
+        c = np.array([float(rng.uniform(0.2, 5.0)) for rng in rngs])
+        lam = np.array([rng.exponential(size=3) for rng in rngs])
+        lam = lam / lam.sum(axis=1, keepdims=True)
+        thrice = [rng for rng in rngs for _ in range(3)]  # three draws per generator
+        rhos = sampling.state(thrice, n).reshape(len(idx), 3, n, n)
+        sigs = sampling.psd(thrice, n).reshape(len(idx), 3, n, n)
+        mix_r = sum(lam[:, k, None, None] * rhos[:, k] for k in range(3))
+        mix_s = sum(lam[:, k, None, None] * sigs[:, k] for k in range(3))
+        sig3 = np.stack([sig, sig2, c[:, None, None] * sig], axis=1)
         # each rho is decomposed once for its three sigmas
         d0, d_mono, d_scaled = rel_entropy(rho[:, None], sig3).T
         d_mix = rel_entropy(mix_r, mix_s)
@@ -688,7 +690,8 @@ def _lemma53(cfg: SuiteConfig):
     eps_grid = (0.5, 0.1, 0.01)
 
     def worker(n, idx):
-        a, b = _psd_pair(cfg, "lemma53", n, idx)
+        rngs = _rngs(cfg, "lemma53", n, idx)
+        a, b = sampling.psd(rngs, n), sampling.psd(rngs, n)
         cases = _Cases()
         for eps in eps_grid:
             logs = _psd_log(np.stack([a + eps * b, b + eps * a]))
@@ -720,11 +723,10 @@ def _by_canonical(gauges, solve):
 def _lemma54(cfg: SuiteConfig):
     gauges = _smooth_convex_gauges(cfg)
 
-    def body(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma54", n, i)
-        rho1 = sampling.state(rng, n)
-        other = sampling.state(rng, n)
-        t = float(rng.uniform(0.0, 0.5))
+    def draw(rngs, n):
+        return sampling.state(rngs, n), sampling.state(rngs, n), [float(rng.uniform(0.0, 0.5)) for rng in rngs]
+
+    def body(n, i, rho1, other, t):
         rho2 = (1.0 - t) * rho1 + t * other
         dist = _l1_herm(rho1 - rho2)
         lhs = 1.0 - math.sqrt(dist)
@@ -740,27 +742,25 @@ def _lemma54(cfg: SuiteConfig):
             for gs, rhs in _by_canonical(gauges, solve)
         ]
 
-    return _per_sample(body)
+    return _per_sample(cfg, "lemma54", draw, body)
 
 
 def _roundtrip(cfg: SuiteConfig):
     gauges = _smooth_convex_gauges(cfg)
 
-    def body(n, i):
-        rng = sampling.make_rng(cfg.seed, "roundtrip", n, i)
-        rho = sampling.state(rng, n)
+    def draw(rngs, n):
+        rho = sampling.state(rngs, n)
         # spectra kept away from zero: the map-then-minimize direction feeds
         # eigenvalues through a p-th-power-like compression, so spectral
         # ratios must stay above the eigensolver noise floor
-        spectrum = _desc(rng.uniform(0.05, 1.0, size=n))
-        frame = sampling.unitary(rng, n)
-        u2 = sampling.unitary(rng, n)
-        v2 = sampling.unitary(rng, n)
-        tvals = rng.uniform(0.05, 1.0, size=n)
+        spectrum = [_desc(rng.uniform(0.05, 1.0, size=n)) for rng in rngs]
+        frame, u2, v2 = sampling.unitary(rngs, n), sampling.unitary(rngs, n), sampling.unitary(rngs, n)
+        tvals = [rng.uniform(0.05, 1.0, size=n) for rng in rngs]
+        return rho, spectrum, frame, u2, v2, tvals, sampling.unitary(rngs, n), sampling.unitary(rngs, n)
+
+    def body(n, i, rho, spectrum, frame, u2, v2, tvals, u3, v3):
         tvals = tvals / tvals.sum()
         general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
-        u3 = sampling.unitary(rng, n)
-        v3 = sampling.unitary(rng, n)
         st = check_state(rho)
 
         def solve(g):
@@ -786,25 +786,24 @@ def _roundtrip(cfg: SuiteConfig):
             for part, lhs, rhs, fields in parts
         ]
 
-    return _per_sample(body)
+    return _per_sample(cfg, "roundtrip", draw, body)
 
 
 def _mazur_entropy(cfg: SuiteConfig):
-    ps = tuple(p for p in cfg.p_grid)
+    def draw(rngs, n):
+        return (sampling.state(rngs, n),)
 
-    def body(n, i):
-        rng = sampling.make_rng(cfg.seed, "mazur_entropy", n, i)
-        rho = sampling.state(rng, n)
+    def body(n, i, rho):
         st = check_state(rho)
+        # mazur_inverse(rho, p) for every p, from one SVD of rho
+        roots = _svd_powers(rho, [1.0 / p for p in cfg.p_grid])
         cases = []
-        for p in ps:
-            g = Lp(p)
-            f = entropy_min_mat(g, st).minimizer
-            root = mazur_inverse(rho, p)
+        for p, root in zip(cfg.p_grid, roots):
+            f = entropy_min_mat(Lp(p), st).minimizer
             cases.append((f"dim={n} i={i} p={_fmt(p)}", _l1_herm(f - root), _STATE_SIDE_TOL, dict(dim=n, index=i, p=p, rho=rho)))
         return cases
 
-    return _per_sample(body)
+    return _per_sample(cfg, "mazur_entropy", draw, body)
 
 
 _SUITES = {

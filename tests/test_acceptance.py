@@ -40,14 +40,14 @@ def _spread_state(rng, n):
     """Random density matrix with eigenvalues bounded away from zero."""
     lam = rng.uniform(0.05, 1.0, size=n)
     lam = lam / lam.sum()
-    u = sampling.unitary(rng, n)
+    u = sampling.unitary([rng], n)[0]
     return (u * lam) @ u.conj().T
 
 
 def _spread_unit_psd(rng, g, n):
     """Random PSD matrix of unit gauge norm with moderate spectral spread."""
     lam = rng.uniform(0.05, 1.0, size=n)
-    u = sampling.unitary(rng, n)
+    u = sampling.unitary([rng], n)[0]
     m = (u * lam) @ u.conj().T
     return m / norm_ui(g, m)
 
@@ -55,7 +55,7 @@ def _spread_unit_psd(rng, g, n):
 def _conditioned_unit(rng, g, n, p):
     """Unit-gauge-norm matrix whose p-th power stays above the SVD noise floor."""
     kappa = min(1e6, 10.0 ** (9.0 / p))
-    u, v = sampling.unitary(rng, n), sampling.unitary(rng, n)
+    u, v = sampling.unitary([rng], n)[0], sampling.unitary([rng], n)[0]
     sv = np.exp(rng.uniform(0.0, np.log(kappa), size=n))
     sv = sv / sv.max()
     a = u @ np.diag(sv).astype(complex) @ v
@@ -162,7 +162,7 @@ def test_criterion_5_lp_minimizer_closed_form():
         g = Lp(p)
         for j in range(200):
             n = DIMS16[j % len(DIMS16)]
-            rho = sampling.state(rng, n)
+            rho = sampling.state([rng], n)[0]
             y = entropy_min_mat(g, rho).minimizer
             lam, w = eigh_psd(rho)
             root = (w * lam ** (1.0 / p)) @ w.conj().T  # unit p-norm since tr(rho)=1

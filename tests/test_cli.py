@@ -428,6 +428,24 @@ def test_unwritable_out_is_usage_error(mat_file, tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["modulus", "FX", "--gauge", "lp:2", "--p", "2", "--out", "new/x"], 2),
+        (["modulus", "Gp", "--gauge", "lp:1", "--out", "new1/x"], 2),
+        (["modulus", "FX", "--gauge", "kyfan:1", "--out", "new2/x"], 4),
+        (["modulus", "Gp", "--gauge", "lp:1", "--p", "inf", "--out", "new3/x"], 2),
+    ],
+)
+def test_refused_modulus_call_leaves_no_directory(tmp_path, monkeypatch, capsys, argv, code):
+    # a missing, unread or non-finite p and a non-smooth gauge are refused
+    # before the output directory is made
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, *TS]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe\x00")

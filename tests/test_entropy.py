@@ -45,10 +45,10 @@ from spectral_mazur.errors import (
     NumericalFailure,
 )
 from spectral_mazur.cli import main
-from spectral_mazur.verify import sampling
 from spectral_mazur.verify import suites as suites_mod
 
 import _reference_maps as ref_maps
+import _reference_sampling as ref_sampling
 
 SOLVER_GAUGES = ("lp:1.5", "lp:2", "lp:3", "lp:4", "conv:2:lp:1", "conv:3:lp:2", "dual:lp:1.5")
 
@@ -742,11 +742,11 @@ def test_map_entropy_min_decomposes_psd_input_without_svd(tmp_path, monkeypatch)
 def _sampled_states(suite, seed, n, i):
     """The states a sample of ``suite`` draws and minimizes: its first draw,
     and for ``lemma54`` the mixture ``rho2`` too."""
-    rng = sampling.make_rng(seed, suite, n, i)
-    rho = sampling.state(rng, n)
+    rng = ref_sampling.make_rng(seed, suite, n, i)
+    rho = ref_sampling.state(rng, n)
     if suite != "lemma54":
         return [rho]
-    other = sampling.state(rng, n)
+    other = ref_sampling.state(rng, n)
     t = float(rng.uniform(0.0, 0.5))
     return [rho, (1.0 - t) * rho + t * other]
 
@@ -760,3 +760,23 @@ def test_a_suite_sample_diagonalises_each_sampled_state_once(monkeypatch, suite)
     suites_mod._SUITES[suite](cfg)(4, range(1))
     for rho in _sampled_states(suite, cfg.seed, 4, 0):
         assert sum(np.array_equal(a, 0.5 * (rho + rho.conj().T)) for a in calls.args["eigh"]) == 1
+
+
+# SVDs of one block of 3 samples at dimension 4: schur decomposes the
+# reference sum and one sum per {alpha, 1 - alpha} pair, mazur_entropy
+# takes all six roots of each sampled state from one SVD of it
+BLOCK_SVDS = {"schur": 4, "mazur_entropy": 3}
+
+
+@pytest.mark.parametrize("suite", sorted(set(suites_mod.SUITE_NAMES) - {"roundtrip"}))
+def test_a_block_decomposes_no_input_twice(monkeypatch, suite):
+    # roundtrip still takes the polar decomposition of its general_trace
+    # once per canonical gauge
+    cfg = SuiteConfig(seed=1, dims=(4,), samples_per_case=3)
+    calls = _LinalgCalls(monkeypatch)
+    suites_mod._SUITES[suite](cfg)(4, range(3))
+    for name, args in calls.args.items():
+        seen = [a.tobytes() for a in args]
+        assert len(set(seen)) == len(seen), name
+    if suite in BLOCK_SVDS:
+        assert calls.counts()["svd"] == BLOCK_SVDS[suite]

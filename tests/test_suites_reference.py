@@ -13,10 +13,12 @@ had then).  The layouts that are easy to get wrong when batching include
 logs).  Reports must be byte-identical, at default tolerances and at zero
 tolerances, where round-off ties become violations with labels and payloads.
 
-``lemma54``, ``roundtrip`` and ``mazur_entropy`` still run sample by sample.
-Their reference solves once per gauge through the maps of
-``_reference_maps``, which validate and decompose every matrix on every
-call, where the suites decompose each sampled state once.
+``lemma54``, ``roundtrip`` and ``mazur_entropy`` draw by block but still
+solve sample by sample.  Their reference solves once per gauge through the
+maps of ``_reference_maps``, which validate and decompose every matrix on
+every call, where the suites decompose each sampled state once.  Every
+reference draws through the per-sample samplers of ``_reference_sampling``,
+where the suites draw whole blocks through the stacked ones.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ from spectral_mazur.verify.config import SuiteReport, Violation
 from spectral_mazur.matnorm import as_matrix, matrix_to_json
 
 import _reference_maps as ref_maps
+import _reference_sampling as ref_sampling
 
 # ---------------------------------------------------------------------------
 # the per-sample reference
@@ -79,9 +82,9 @@ def _contraction(rng, n, variant):
         b[:m, m : 2 * m] = np.eye(m)
         return b
     if variant == 1:
-        h = sampling.hermitian(rng, n)
+        h = ref_sampling.hermitian(rng, n)
         return h / _svals(h)[0]
-    g = sampling.ginibre(rng, n)
+    g = ref_sampling.ginibre(rng, n)
     return g / _svals(g)[0]
 
 
@@ -137,9 +140,9 @@ def _holder(cfg):
     triples = ((2.0, 2.0, 1.0), (3.0, 1.5, 1.0), (4.0, 4.0, 2.0))
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "holder", n, i)
-        a = sampling.ginibre(rng, n)
-        b = sampling.ginibre(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "holder", n, i)
+        a = ref_sampling.ginibre(rng, n)
+        b = ref_sampling.ginibre(rng, n)
         sa, sb, sab = _svals(a), _svals(b), _svals(a @ b)
         cases = []
         for gs, g in gauges:
@@ -157,10 +160,10 @@ def _ideal(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "ideal", n, i)
-        a = sampling.ginibre(rng, n)
-        b = sampling.ginibre(rng, n)
-        c = sampling.ginibre(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "ideal", n, i)
+        a = ref_sampling.ginibre(rng, n)
+        b = ref_sampling.ginibre(rng, n)
+        c = ref_sampling.ginibre(rng, n)
         sb = _svals(b)
         sabc = _svals(a @ b @ c)
         opa = _svals(a)[0]
@@ -179,10 +182,10 @@ def _contraction_transfer(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "contraction_transfer", n, i)
-        z = sampling.ginibre(rng, n)
-        mix = sampling.ucptp_mixture(rng, n)
-        w = sampling.apply_mixture(mix, z)
+        rng = ref_sampling.make_rng(cfg.seed, "contraction_transfer", n, i)
+        z = ref_sampling.ginibre(rng, n)
+        mix = ref_sampling.ucptp_mixture(rng, n)
+        w = ref_sampling.apply_mixture(mix, z)
         sz, sw = _svals(z), _svals(w)
         cases = []
         for gs, g in gauges:
@@ -198,8 +201,8 @@ def _fan_dominance(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "fan_dominance", n, i)
-        b = sampling.ginibre(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "fan_dominance", n, i)
+        b = ref_sampling.ginibre(rng, n)
         sb = _svals(b)
         variant = int(rng.integers(3))
         if variant == 0:
@@ -228,9 +231,9 @@ def _lemma41(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma41", n, i)
-        x = sampling.psd(rng, n)
-        y = sampling.psd(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma41", n, i)
+        x = ref_sampling.psd(rng, n)
+        y = ref_sampling.psd(rng, n)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         sdiff = _habs(x - y)
@@ -252,9 +255,9 @@ def _lemma42(cfg):
     thetas = (0.25, 0.5, 0.75, 1.0)
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma42", n, i)
-        x = sampling.psd(rng, n)
-        y = sampling.psd(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma42", n, i)
+        x = ref_sampling.psd(rng, n)
+        y = ref_sampling.psd(rng, n)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         lxd, lyd = _desc(lx), _desc(ly)
@@ -279,9 +282,9 @@ def _cor43(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "cor43", n, i)
-        x = sampling.psd(rng, n)
-        y = sampling.psd(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "cor43", n, i)
+        x = ref_sampling.psd(rng, n)
+        y = ref_sampling.psd(rng, n)
         lx, wx = _eigh_clip(x)
         ly, wy = _eigh_clip(y)
         lxd, lyd = _desc(lx), _desc(ly)
@@ -305,15 +308,15 @@ def _lemma44(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma44", n, i)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma44", n, i)
         variant = int(rng.integers(3))
         if variant == 2 and n >= 2:
             m = n // 2
             x = np.zeros((n, n), dtype=complex)
-            x[:m, :m] = sampling.psd(rng, m)
-            x[m : 2 * m, m : 2 * m] = sampling.psd(rng, m)
+            x[:m, :m] = ref_sampling.psd(rng, m)
+            x[m : 2 * m, m : 2 * m] = ref_sampling.psd(rng, m)
         else:
-            x = sampling.psd(rng, n)
+            x = ref_sampling.psd(rng, n)
         b = _contraction(rng, n, variant)
         lx, wx = _eigh_clip(x)
         lxd = _desc(lx)
@@ -340,9 +343,9 @@ def _lemma45(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma45", n, i)
-        x = sampling.psd(rng, n)
-        y = x if int(rng.integers(2)) == 1 else sampling.psd(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma45", n, i)
+        x = ref_sampling.psd(rng, n)
+        y = x if int(rng.integers(2)) == 1 else ref_sampling.psd(rng, n)
         b = _contraction(rng, n, int(rng.integers(3)))
         opb = _svals(b)[0]
         lx, wx = _eigh_clip(x)
@@ -381,10 +384,10 @@ def _schur(cfg):
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "schur", n, i)
-        a = sampling.psd(rng, n)
-        b = sampling.psd(rng, n)
-        xmat = sampling.ginibre(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "schur", n, i)
+        a = ref_sampling.psd(rng, n)
+        b = ref_sampling.psd(rng, n)
+        xmat = ref_sampling.ginibre(rng, n)
         la, wa = _eigh_clip(a)
         lb, wb = _eigh_clip(b)
         sref = _svals(a @ xmat + xmat @ b)
@@ -407,8 +410,8 @@ def _lemma47(cfg):
     gauges = cfg.parsed_gauges()
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma47", n, i)
-        x = sampling.hermitian(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma47", n, i)
+        x = ref_sampling.hermitian(rng, n)
         b = _contraction(rng, n, int(rng.integers(3)))
         e, wx = np.linalg.eigh(x)
         eabs = _desc(np.abs(e))
@@ -436,18 +439,18 @@ def _lemma47(cfg):
 
 def _entropy_props(cfg):
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "entropy_props", n, i)
-        rho = sampling.state(rng, n)
-        sig = sampling.psd(rng, n)
-        sig2 = sig + sampling.psd(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "entropy_props", n, i)
+        rho = ref_sampling.state(rng, n)
+        sig = ref_sampling.psd(rng, n)
+        sig2 = sig + ref_sampling.psd(rng, n)
         c = float(rng.uniform(0.2, 5.0))
         d0 = _rel_entropy(rho, sig)
         d_mono = _rel_entropy(rho, sig2)
         d_scaled = _rel_entropy(rho, c * sig)
         lam = rng.exponential(size=3)
         lam = lam / lam.sum()
-        rhos = [sampling.state(rng, n) for _ in range(3)]
-        sigs = [sampling.psd(rng, n) for _ in range(3)]
+        rhos = [ref_sampling.state(rng, n) for _ in range(3)]
+        sigs = [ref_sampling.psd(rng, n) for _ in range(3)]
         mix_r = sum(w * r for w, r in zip(lam, rhos))
         mix_s = sum(w * s for w, s in zip(lam, sigs))
         d_mix = _rel_entropy(mix_r, mix_s)
@@ -466,9 +469,9 @@ def _lemma53(cfg):
     eps_grid = (0.5, 0.1, 0.01)
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma53", n, i)
-        a = sampling.psd(rng, n)
-        b = sampling.psd(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma53", n, i)
+        a = ref_sampling.psd(rng, n)
+        b = ref_sampling.psd(rng, n)
         cases = []
         for eps in eps_grid:
             diff = _psd_log(a + eps * b) - _psd_log(b + eps * a)
@@ -492,9 +495,9 @@ def _lemma54(cfg):
     gauges = tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth)
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "lemma54", n, i)
-        rho1 = sampling.state(rng, n)
-        other = sampling.state(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "lemma54", n, i)
+        rho1 = ref_sampling.state(rng, n)
+        other = ref_sampling.state(rng, n)
         t = float(rng.uniform(0.0, 0.5))
         rho2 = (1.0 - t) * rho1 + t * other
         dist = _l1_herm(rho1 - rho2)
@@ -514,17 +517,17 @@ def _roundtrip(cfg):
     gauges = tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth)
 
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "roundtrip", n, i)
-        rho = sampling.state(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "roundtrip", n, i)
+        rho = ref_sampling.state(rng, n)
         spectrum = _desc(rng.uniform(0.05, 1.0, size=n))
-        frame = sampling.unitary(rng, n)
-        u2 = sampling.unitary(rng, n)
-        v2 = sampling.unitary(rng, n)
+        frame = ref_sampling.unitary(rng, n)
+        u2 = ref_sampling.unitary(rng, n)
+        v2 = ref_sampling.unitary(rng, n)
         tvals = rng.uniform(0.05, 1.0, size=n)
         tvals = tvals / tvals.sum()
         general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
-        u3 = sampling.unitary(rng, n)
-        v3 = sampling.unitary(rng, n)
+        u3 = ref_sampling.unitary(rng, n)
+        v3 = ref_sampling.unitary(rng, n)
         # read at call time, so a test can tighten both sides' budgets to 0
         state_tol, sphere_tol = suites_mod._STATE_SIDE_TOL, suites_mod._SPHERE_SIDE_TOL
         cases = []
@@ -551,8 +554,8 @@ def _roundtrip(cfg):
 
 def _mazur_entropy(cfg):
     def worker(n, i):
-        rng = sampling.make_rng(cfg.seed, "mazur_entropy", n, i)
-        rho = sampling.state(rng, n)
+        rng = ref_sampling.make_rng(cfg.seed, "mazur_entropy", n, i)
+        rho = ref_sampling.state(rng, n)
         cases = []
         for p in cfg.p_grid:
             f = ref_maps.entropy_min_mat(Lp(p), rho).minimizer
@@ -580,8 +583,8 @@ REFERENCE = {
     "lemma53": _lemma53,
 }
 
-# the suites whose solvers take one matrix at a time; their workers still run
-# sample by sample, so only the default block size is cut differently
+# the suites whose solvers take one matrix at a time; their workers draw by
+# block and solve sample by sample
 ENTROPY_REFERENCE = {
     "lemma54": _lemma54,
     "roundtrip": _roundtrip,
@@ -680,8 +683,8 @@ class _Wide(np.random.Generator):
 
 
 def test_fan_dominance_skips_samples_like_the_reference(monkeypatch):
-    make_rng = sampling.make_rng
-    monkeypatch.setattr(sampling, "make_rng", lambda *key: _Wide(make_rng(*key).bit_generator))
+    for module in (sampling, ref_sampling):
+        monkeypatch.setattr(module, "make_rng", lambda *key, make_rng=module.make_rng: _Wide(make_rng(*key).bit_generator))
     cfg = CONFIGS[1, 1e-10]
     text = _assert_reference_bytes(monkeypatch, "fan_dominance", cfg)
     full = len(DIMS) * cfg.samples_per_case * len(cfg.gauges)

@@ -21,6 +21,8 @@ from spectral_mazur.verify import modulus as modulus_mod
 from spectral_mazur.verify import sampling
 from spectral_mazur.verify import suites as suites_mod
 
+import _reference_sampling as ref_sampling
+
 SMALL = SuiteConfig(seed=1, dims=(2, 3), samples_per_case=6)
 
 
@@ -69,6 +71,16 @@ def test_make_rng_reproducible_and_key_sensitive():
     assert not np.array_equal(a, d)
 
 
+def test_make_rng_state_equals_a_list_seeded_seed_sequence():
+    # each key part is one 32-bit word, so the uint32 array seeds the state
+    # the list of the same ints seeds, at both ends of the word's range too
+    top = 2**32 - 1
+    keys = [(0,), (top,), (0, top), (top, 0, top), (-1, "s", 0), (2**32, "s", top), (1, "modulus", "FX", 16, 7)]
+    keys += [(seed, suite, n, i) for seed in (0, 1, top) for suite in ("holder", "roundtrip") for n in (1, 64) for i in (0, 63, top)]
+    for key in keys:
+        assert make_rng(*key).bit_generator.state == ref_sampling.make_rng(*key).bit_generator.state, key
+
+
 def _ginibre_two_draws(rng, n):
     re = rng.standard_normal((n, n))
     im = rng.standard_normal((n, n))
@@ -79,29 +91,72 @@ def test_ginibre_equals_the_two_draw_formula_bit_for_bit():
     for seed in range(200):
         for n in (1, 2, 3, 5, 8, 16, 32, 64):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sampling.ginibre(rng, n)
-            assert got.dtype == np.complex128 and got.shape == (n, n)
-            assert got.tobytes() == _ginibre_two_draws(ref, n).tobytes(), (seed, n)
+            got = sampling.ginibre([rng], n)
+            assert got.dtype == np.complex128 and got.shape == (1, n, n)
+            assert got[0].tobytes() == _ginibre_two_draws(ref, n).tobytes(), (seed, n)
             # the generator is left where the two draws left it
             assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes(), (seed, n)
 
 
+SAMPLER_DIMS = (1, 2, 3, 5, 8, 16, 32, 64)
+SAMPLER_BLOCKS = (1, 7, 64)
+
+
+def _generator_pairs(n, block):
+    """Two generators in the same state for each sample of a block."""
+    rngs = [np.random.default_rng([n, block, i]) for i in range(block)]
+    return rngs, [np.random.default_rng([n, block, i]) for i in range(block)]
+
+
+def _assert_same_states(rngs, refs, where):
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in refs], where
+
+
+@pytest.mark.parametrize("name", ["ginibre", "hermitian", "psd", "state", "unitary"])
+def test_stacked_sampler_equals_the_per_sample_sampler_bit_for_bit(name):
+    for n in SAMPLER_DIMS:
+        for block in SAMPLER_BLOCKS:
+            rngs, refs = _generator_pairs(n, block)
+            got = getattr(sampling, name)(rngs, n)
+            want = np.stack([getattr(ref_sampling, name)(ref, n) for ref in refs])
+            assert got.dtype == np.complex128 and got.shape == (block, n, n)
+            assert got.tobytes() == want.tobytes(), (n, block)
+            _assert_same_states(rngs, refs, (n, block))
+
+
+def test_stacked_mixture_equals_the_per_sample_mixture_bit_for_bit():
+    for n in SAMPLER_DIMS:
+        for block in SAMPLER_BLOCKS:
+            rngs, refs = _generator_pairs(n, block)
+            weights, unitaries = sampling.ucptp_mixture(rngs, n)
+            z = sampling.ginibre(rngs, n)
+            w = sampling.apply_mixture((weights, unitaries), z)
+            mixes = [ref_sampling.ucptp_mixture(ref, n) for ref in refs]
+            zs = [ref_sampling.ginibre(ref, n) for ref in refs]
+            assert weights.shape == (block, 3) and unitaries.shape == (block, 3, n, n)
+            assert weights.tobytes() == np.stack([lam for lam, _ in mixes]).tobytes(), (n, block)
+            assert unitaries.tobytes() == np.stack([np.stack(us) for _, us in mixes]).tobytes(), (n, block)
+            assert z.tobytes() == np.stack(zs).tobytes(), (n, block)
+            assert w.tobytes() == np.stack([ref_sampling.apply_mixture(m, zz) for m, zz in zip(mixes, zs)]).tobytes(), (n, block)
+            _assert_same_states(rngs, refs, (n, block))
+
+
 def test_sample_kinds_properties():
-    rng = make_rng(0, "props")
+    rngs = [make_rng(0, "props", k) for k in range(3)]
     n = 5
-    h = sampling.hermitian(rng, n)
-    assert np.allclose(h, h.conj().T)
-    m = sampling.psd(rng, n)
+    h = sampling.hermitian(rngs, n)
+    assert np.allclose(h, h.conj().swapaxes(-1, -2))
+    m = sampling.psd(rngs, n)
     assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
-    rho = sampling.state(rng, n)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-    u = sampling.unitary(rng, n)
-    assert np.allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
-    weights, unitaries = sampling.ucptp_mixture(rng, n)
-    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-    z = sampling.ginibre(rng, n)
+    rho = sampling.state(rngs, n)
+    assert np.allclose(np.trace(rho, axis1=-2, axis2=-1).real, 1.0, atol=1e-12)
+    u = sampling.unitary(rngs, n)
+    assert np.allclose(u @ u.conj().swapaxes(-1, -2), np.eye(n), atol=1e-12)
+    weights, unitaries = sampling.ucptp_mixture(rngs, n)
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    z = sampling.ginibre(rngs, n)
     w = sampling.apply_mixture((weights, unitaries), z)
-    assert w.shape == z.shape
+    assert w.shape == z.shape == (3, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +246,7 @@ def test_nan_case_stops_the_run(monkeypatch, tmp_path, capsys, side):
             values = {"lhs": 0.5, "rhs": 1.0, side: float("nan")}
             return [(f"dim={n} i={i} poisoned", values["lhs"], values["rhs"], dict(dim=n, index=i))]
 
-        return suites_mod._per_sample(body)
+        return suites_mod._per_sample(cfg, "lemma53", lambda rngs, n: (), body)
 
     monkeypatch.setitem(suites_mod._SUITES, "lemma53", factory)
     with pytest.raises(NumericalFailure, match="dim=2 i=0 poisoned"):
@@ -274,8 +329,7 @@ def test_modulus_vanishes_at_zero_distance():
     # a deterministic map sends identical inputs to identical outputs; the
     # identical-pair checks inside the profiler count any nonzero image
     # distance as a bound violation, and none occur
-    rng = make_rng(0, "zero")
-    a = sampling.psd(rng, 3)
+    a = sampling.psd([make_rng(0, "zero")], 3)[0]
     out1 = mazur_forward(a, 3.0)
     out2 = mazur_forward(a, 3.0)
     assert np.array_equal(out1, out2)
