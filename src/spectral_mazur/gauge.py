@@ -169,8 +169,15 @@ def parse_gauge(text: str) -> Gauge:
     ``dual:<gauge>`` with ``<p>`` a decimal number ``>= 1`` or ``inf``.
     Parsing preserves the written structure; no algebraic simplification is
     applied (so ``conv:2:lp:1`` formats back as written even though it
-    evaluates like ``lp:2``).
+    evaluates like ``lp:2``).  It is canonicalised once, so shapes
+    :func:`_canonical` refuses are refused here.
     """
+    g = _parse(text)
+    _canonical_form(g)
+    return g
+
+
+def _parse(text: str) -> Gauge:
     if not isinstance(text, str):
         raise GaugeParseError(f"gauge descriptor must be a string, got {text!r}")
     s = text.strip()
@@ -189,9 +196,9 @@ def parse_gauge(text: str) -> Gauge:
         p_text, sep2, base_text = rest.partition(":")
         if not sep2 or not base_text:
             raise GaugeParseError(f"malformed gauge descriptor {text!r}")
-        return Convexified(parse_gauge(base_text), _parse_exponent(p_text, text))
+        return Convexified(_parse(base_text), _parse_exponent(p_text, text))
     if head == "dual":
-        return Dual(parse_gauge(rest))
+        return Dual(_parse(rest))
     raise GaugeParseError(f"unknown gauge kind {head!r} in {text!r}")
 
 
@@ -219,6 +226,7 @@ def _canonical(g: Gauge) -> Gauge:
     are finite-dimensional, hence reflexive).  The result is one of: ``Lp``,
     ``KyFan``, ``Convexified`` with a non-Lp base, or ``Dual`` of such.
     Subtrees are read from their cached forms, so each node is reduced once.
+    ``dual:conv:p:dual:conv:r:...`` has no closed form: it raises.
     """
     if isinstance(g, (Lp, KyFan)):
         return g
@@ -232,12 +240,13 @@ def _canonical(g: Gauge) -> Gauge:
             return Convexified(base.base, base.p * g.p)
         return Convexified(base, g.p)
     if isinstance(g, Dual):
-        # cancel a dual pair before conjugating: conjugating twice rounds q
-        if isinstance(g.base, Dual):
-            return g.base.base._canon
         base = g.base._canon
         if isinstance(base, Lp):
             return _dual_lp(base)
+        if isinstance(base, Dual):
+            return base.base
+        if isinstance(base, Convexified) and isinstance(base.base, Dual) and isinstance(base.base.base, Convexified):
+            raise GaugeParseError(f"no closed form for {format_gauge(g)}: the dual of a convexified dual:conv: gauge")
         return Dual(base)
     raise GaugeParseError(f"not a gauge descriptor: {g!r}")
 
@@ -312,11 +321,21 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     """The canonical gauge ``c`` on each row of a nonnegative finite 2-d array.
 
     This is the one evaluator: a single vector goes through it as a one-row
-    array (:func:`_eval`).  Zero rows give 0.  The ``p``-th powers are taken
-    of the row scaled by its peak, so they cannot overflow for large ``p``,
-    and each row's root is taken by Python's scalar pow, because numpy's
-    array pow differs from it in the last bit on a few percent of entries.
-    Duals without a closed form go row by row through :func:`_dual_numeric`.
+    array (:func:`_eval`), and each row's value depends on that row alone.
+    Zero rows give 0.  Powers are taken of the row scaled by its peak, so
+    they cannot overflow for large ``p``, and each ``Lp``/``Convexified``
+    row's root is taken by Python's scalar pow, because numpy's array pow
+    differs from it in the last bit on a few percent of entries.
+
+    ``Dual(Convexified(B, p))`` is exact on the descending scaled row
+    ``phi``, with ``q = p'``: the ``a`` largest entries are kept and the
+    rest pooled into ``k - a`` equal entries ``L`` of the same sum, ``a``
+    being the first index below ``min(k, n)`` whose entry is at most ``L``,
+    or ``n`` if none is.  For ``B = KyFan(k)`` this is the (k, q)-support
+    norm ``‖(phi_<a, L, ..., L)‖_q`` (Argyriou, Foygel & Srebro, NeurIPS
+    2012; McDonald, Pontil & Stamos, JMLR 2016).  For ``B = Dual(KyFan(k))``,
+    whose ball is ``{v <= 1, sum v^p <= k}``, ``phi^q`` is pooled instead,
+    and the capped water-filling value is ``sum phi_<a + (k - a) L^(1/q)``.
     """
     peak = a.max(axis=1)
     if isinstance(c, Lp) and math.isinf(c.p):
@@ -327,61 +346,37 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
         return np.sort(a, axis=1)[:, ::-1][:, : c.k].sum(axis=1)
     if isinstance(c, Dual) and isinstance(c.base, KyFan):
         return np.maximum(peak, a.sum(axis=1) / min(c.base.k, a.shape[1]))
-    if isinstance(c, Dual):
-        return np.array(
-            [pk * _dual_numeric(c.base, np.sort(row / pk)[::-1]) if pk > 0.0 else 0.0 for row, pk in zip(a, peak)]
-        )
-    # Lp with 1 < p < inf, or Convexified: peak * inner((a / peak)^p)^(1/p)
+    if isinstance(c, Dual) and math.isinf(c.base.p):
+        return a.sum(axis=1)  # conv:inf of any base is lp:inf
     if not peak.all():
         out = np.zeros_like(peak)
         nz = peak > 0.0
         out[nz] = _eval_rows(c, a[nz])
         return out
+    if isinstance(c, Dual):
+        # c.base is Convexified(B, p) with B = KyFan(k) or Dual(KyFan(k))
+        support = isinstance(c.base.base, KyFan)
+        k = c.base.base.k if support else c.base.base.base.k
+        q = _conjugate(c.base.p)
+        phi = -np.sort(-(a / peak[:, None]), axis=1)
+        pooled, kept = (phi, phi**q) if support else (phi**q, phi)
+        zero = np.zeros((len(a), 1))
+        tails = np.hstack([np.cumsum(pooled[:, ::-1], axis=1)[:, ::-1], zero])
+        m = min(k, a.shape[1])
+        hit = (k - np.arange(m)) * pooled[:, :m] <= tails[:, :m]
+        at = np.where(hit.any(axis=1), hit.argmax(axis=1), a.shape[1])
+        rows = np.arange(len(a))
+        head = np.hstack([zero, np.cumsum(kept, axis=1)])[rows, at]
+        slots = k - at
+        level = tails[rows, at] / slots
+        if support:
+            return peak * (head + slots * level**q) ** (1.0 / q)
+        return peak * (head + slots * level ** (1.0 / q))
+    # Lp with 1 < p < inf, or Convexified: peak * inner((a / peak)^p)^(1/p)
     scaled = (a / peak[:, None]) ** c.p
     inner = scaled.sum(axis=1) if isinstance(c, Lp) else _eval_rows(c.base, scaled)
     inv = 1.0 / c.p
     return peak * np.array([s**inv for s in inner.tolist()])
-
-
-def _dual_numeric(base: Gauge, a: np.ndarray) -> float:
-    """Numerically evaluate ``sup { <a, v> : base(v) <= 1, v >= 0 }``.
-
-    Used only for bases without a closed-form dual (e.g. convexified Ky Fan
-    norms).  The supremum of a linear functional over a convex body is solved
-    with SLSQP from several starts; every candidate is rescaled onto the unit
-    sphere before scoring, so the returned value is an achieved (never
-    overshooting) objective value.
-    """
-    from scipy.optimize import minimize
-
-    n = a.size
-    starts = [a]
-    for k in (1, max(1, n // 2), n):
-        e = np.zeros(n)
-        e[:k] = 1.0
-        starts.append(e)
-
-    def score(v: np.ndarray) -> float:
-        v = np.clip(v, 0.0, None)
-        nv = _eval(base, v)
-        if nv <= 0.0:
-            return 0.0
-        return float(a @ v) / nv
-
-    best = max(score(v0) for v0 in starts)
-    cons = [{"type": "ineq", "fun": lambda v: 1.0 - _eval(base, np.abs(v))}]
-    for v0 in starts:
-        nv0 = _eval(base, v0)
-        res = minimize(
-            lambda v: -float(a @ v),
-            v0 / nv0,
-            method="SLSQP",
-            bounds=[(0.0, None)] * n,
-            constraints=cons,
-            options={"maxiter": 300, "ftol": 1e-14},
-        )
-        best = max(best, score(np.asarray(res.x)))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +388,11 @@ def dual_gauge(g: Gauge) -> Gauge:
 
     Closed forms are produced where they exist: ``Lp(p) -> Lp(p')`` and
     ``Dual(b) -> b``; ``KyFan(k)`` duals evaluate as
-    ``max(max|v|, sum|v|/k)``.  Applied twice to ``Lp(p)`` it gives back
-    ``Lp(p)`` exactly, not ``Lp(p'')`` rounded.
+    ``max(max|v|, sum|v|/k)``, those of ``conv:p:kyfan:k`` and
+    ``conv:p:dual:kyfan:k`` as the (k, p')-support norm and its capped
+    water-filling counterpart (:func:`_eval_rows`); ``dual:conv:...`` inside
+    another ``dual:conv:`` raises :class:`GaugeParseError`.  Applied twice
+    to ``Lp(p)`` it gives back ``Lp(p)`` exactly, not ``Lp(p'')`` rounded.
     """
     return Dual(g)._canon
 

@@ -90,6 +90,7 @@ class SuiteConfig:
             raise ConfigError("samples_per_case must be >= 1")
         if not self.gauges:
             raise ConfigError("gauges must be nonempty")
+        self.parsed_gauges()  # a gauge that cannot be read is refused before any suite runs
         # non-finite values cannot be written into a report
         for p in self.p_grid:
             if not 1.0 <= p < math.inf:

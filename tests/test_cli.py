@@ -59,6 +59,39 @@ def test_norm_gauge_parse_error(mat_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# the dual of a convexified dual of a convexification has no closed form
+DEEP_GAUGE = "dual:conv:2:dual:conv:3:kyfan:2"
+
+
+def test_deep_dual_conv_nesting_is_refused(mat_file, tmp_path, monkeypatch, capsys):
+    # refused when the gauge is read: no suite or profile runs and nothing is written
+    calls = []
+    monkeypatch.setattr(cli, "run_inequality_suite", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "estimate_modulus", lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    path, _ = mat_file
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps({"gauges": ["lp:2", DEEP_GAUGE]}))
+    before = sorted(tmp_path.iterdir())
+    for argv in (
+        ["norm", path, "--gauge", DEEP_GAUGE],
+        ["modulus", "Gp", "--gauge", DEEP_GAUGE, "--p", "2", *TS],
+        ["verify", "holder", "--config", str(config), *TS],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and DEEP_GAUGE in err and "Traceback" not in err, argv
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_depth_one_dual_conv_inside_a_convexification_is_accepted(mat_file, capsys):
+    path, a = mat_file
+    g = parse_gauge("conv:2:dual:conv:3:kyfan:2")
+    assert main(["norm", path, "--gauge", "conv:2:dual:conv:3:kyfan:2"]) == 0
+    assert capsys.readouterr().out.strip() == f"{norm_ui(g, a):.15g}"
+
+
 def test_norm_missing_file(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "nope.json"), "--gauge", "lp:2"]) == 2
 
@@ -467,3 +500,25 @@ def test_cli_runs_as_a_process(tmp_path):
     bad = subprocess.run([*argv, "--out", str(blocker)], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert bad.returncode == 2 and bad.stderr.startswith("error:"), bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable the
+    # package evaluates the exact duals and runs a suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = """
+import sys
+sys.modules["scipy"] = None
+from spectral_mazur import eval_gauge, parse_gauge
+from spectral_mazur.cli import main
+print(eval_gauge(parse_gauge("dual:conv:2:kyfan:2"), [1.0, 1.0, 1.0]))
+print(eval_gauge(parse_gauge("dual:conv:3:dual:kyfan:2"), [1.0, 0.5, 0.25]))
+sys.exit(main(["verify", "holder", "--dims", "2", "--samples", "1"]))
+"""
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    first, second = run.stdout.splitlines()[:2]
+    assert float(first) == pytest.approx(3.0 / 2.0**0.5, rel=1e-15)
+    # the capped water-filling form keeps the peak and pools the other two
+    assert float(second) == pytest.approx(1.0 + (0.5**1.5 + 0.25**1.5) ** (2.0 / 3.0), rel=1e-15)
