@@ -221,10 +221,10 @@ def _parse_exponent(p_text: str, full: str) -> float:
 def _canonical(g: Gauge) -> Gauge:
     """Reduce a descriptor tree using exact norm identities.
 
-    ``Convexified(Lp(q), p) = Lp(pq)``, nested convexifications multiply the
-    exponents, ``Dual(Lp(p)) = Lp(p')`` and ``Dual(Dual(g)) = g`` (the spaces
-    are finite-dimensional, hence reflexive).  The result is one of: ``Lp``,
-    ``KyFan``, ``Convexified`` with a non-Lp base, or ``Dual`` of such.
+    ``Convexified(Lp(q), p) = Lp(pq)``, ``Convexified(g, inf) = Lp(inf)``,
+    nested convexifications multiply the exponents, ``Dual(Lp(p)) = Lp(p')``
+    and ``Dual(Dual(g)) = g`` (finite dimension, so reflexive).  The result is
+    ``Lp``, ``KyFan``, ``Convexified`` of finite p and a non-Lp base, or ``Dual`` of such.
     Subtrees are read from their cached forms, so each node is reduced once.
     ``dual:conv:p:dual:conv:r:...`` has no closed form: it raises.
     """
@@ -234,12 +234,16 @@ def _canonical(g: Gauge) -> Gauge:
         base = g.base._canon
         if g.p == 1.0:
             return base
+        if math.isinf(g.p):
+            return Lp(math.inf)
         if isinstance(base, Lp):
             return Lp(base.p * g.p)
         if isinstance(base, Convexified):
             return Convexified(base.base, base.p * g.p)
         return Convexified(base, g.p)
     if isinstance(g, Dual):
+        if isinstance(g.base, Dual):  # cancel a written pair: its inner dual may have no closed form
+            return g.base.base._canon
         base = g.base._canon
         if isinstance(base, Lp):
             return _dual_lp(base)
@@ -294,8 +298,7 @@ def _finite(a: np.ndarray) -> np.ndarray:
 
 def eval_gauge(g: Gauge, v) -> float:
     """Evaluate the gauge on a real vector (any length >= 1)."""
-    a = np.abs(_as_vector(v))
-    return _eval(_canonical_form(g), a)
+    return _eval(_canonical_form(g), np.abs(_as_vector(v)))
 
 
 def _eval(c: Gauge, a: np.ndarray) -> float:
@@ -328,14 +331,16 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     differs from it in the last bit on a few percent of entries.
 
     ``Dual(Convexified(B, p))`` is exact on the descending scaled row
-    ``phi``, with ``q = p'``: the ``a`` largest entries are kept and the
-    rest pooled into ``k - a`` equal entries ``L`` of the same sum, ``a``
-    being the first index below ``min(k, n)`` whose entry is at most ``L``,
-    or ``n`` if none is.  For ``B = KyFan(k)`` this is the (k, q)-support
-    norm ``‖(phi_<a, L, ..., L)‖_q`` (Argyriou, Foygel & Srebro, NeurIPS
-    2012; McDonald, Pontil & Stamos, JMLR 2016).  For ``B = Dual(KyFan(k))``,
-    whose ball is ``{v <= 1, sum v^p <= k}``, ``phi^q`` is pooled instead,
-    and the capped water-filling value is ``sum phi_<a + (k - a) L^(1/q)``.
+    ``phi``, padded with ``phi_n = 0``, and ``q = p'``: the ``a`` largest
+    entries are kept and the rest pooled into ``k - a`` equal entries ``L``,
+    ``a`` being the first index below ``min(k, n)`` whose entry is at most
+    ``L``, or ``n`` if none is.  For ``B = KyFan(k)``, ``L`` keeps the sum,
+    and this is the (k, q)-support norm ``‖(phi_<a, L, ..., L)‖_q``
+    (Argyriou, Foygel & Srebro, NeurIPS 2012; McDonald, Pontil & Stamos, JMLR
+    2016).  For ``B = Dual(KyFan(k))``, with ball ``{v <= 1, sum v^p <= k}``,
+    ``L`` keeps the l^q norm, and the capped water-filling value is
+    ``sum phi_<a + (k - a) L``.  The ``k - a`` entries ``L`` enter as one,
+    ``(k - a)^(1/q) L`` or ``(k - a) L``, so no power of ``L`` can overflow.
     """
     peak = a.max(axis=1)
     if isinstance(c, Lp) and math.isinf(c.p):
@@ -346,32 +351,28 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
         return np.sort(a, axis=1)[:, ::-1][:, : c.k].sum(axis=1)
     if isinstance(c, Dual) and isinstance(c.base, KyFan):
         return np.maximum(peak, a.sum(axis=1) / min(c.base.k, a.shape[1]))
-    if isinstance(c, Dual) and math.isinf(c.base.p):
-        return a.sum(axis=1)  # conv:inf of any base is lp:inf
     if not peak.all():
-        out = np.zeros_like(peak)
-        nz = peak > 0.0
+        out, nz = np.zeros_like(peak), peak > 0.0
         out[nz] = _eval_rows(c, a[nz])
         return out
     if isinstance(c, Dual):
-        # c.base is Convexified(B, p) with B = KyFan(k) or Dual(KyFan(k))
+        # c.base is Convexified(B, p), B = KyFan(k) or Dual(KyFan(k)); a = m: no index below m hits
         support = isinstance(c.base.base, KyFan)
         k = c.base.base.k if support else c.base.base.base.k
-        q = _conjugate(c.base.p)
-        phi = -np.sort(-(a / peak[:, None]), axis=1)
-        pooled, kept = (phi, phi**q) if support else (phi**q, phi)
-        zero = np.zeros((len(a), 1))
-        tails = np.hstack([np.cumsum(pooled[:, ::-1], axis=1)[:, ::-1], zero])
-        m = min(k, a.shape[1])
-        hit = (k - np.arange(m)) * pooled[:, :m] <= tails[:, :m]
-        at = np.where(hit.any(axis=1), hit.argmax(axis=1), a.shape[1])
-        rows = np.arange(len(a))
-        head = np.hstack([zero, np.cumsum(kept, axis=1)])[rows, at]
-        slots = k - at
-        level = tails[rows, at] / slots
-        if support:
-            return peak * (head + slots * level**q) ** (1.0 / q)
-        return peak * (head + slots * level ** (1.0 / q))
+        p, q, m = c.base.p, _conjugate(c.base.p), min(k, a.shape[1])
+        phi = np.pad(-np.sort(-(a / peak[:, None]), axis=1), ((0, 0), (0, 1)))
+        if support:  # T_a
+            tails = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1][:, : m + 1]
+            hit = (k - np.arange(m + 1)) * phi[:, : m + 1] <= tails
+        else:  # S_a^(1/q), peak-scaled by the l^q evaluator, so no power that counts underflows
+            tails = _eval_rows(Lp(q), np.triu(np.repeat(phi[:, None], m + 1, axis=1)).reshape(-1, phi.shape[1]))
+            tails = tails.reshape(len(a), m + 1)
+            hit = (k - np.arange(m + 1)) ** (1.0 / q) * phi[:, : m + 1] <= tails
+        hit[:, m] = True
+        at = hit.argmax(axis=1)
+        kept = np.where(np.arange(phi.shape[1]) < at[:, None], phi, 0.0)
+        pooled = tails[np.arange(len(a)), at] * (k - at) ** (-1.0 / p if support else 1.0 / p)
+        return peak * _eval_rows(Lp(q if support else 1.0), np.hstack([kept, pooled[:, None]]))
     # Lp with 1 < p < inf, or Convexified: peak * inner((a / peak)^p)^(1/p)
     scaled = (a / peak[:, None]) ** c.p
     inner = scaled.sum(axis=1) if isinstance(c, Lp) else _eval_rows(c.base, scaled)

@@ -173,12 +173,25 @@ def test_depth_one_dual_conv_is_accepted():
     g = parse_gauge("conv:2:dual:conv:3:kyfan:2")
     v = np.array([0.3, -1.2, 0.7, 2.0])
     assert eval_gauge(g, v) == pytest.approx(eval_gauge(parse_gauge("dual:conv:3:kyfan:2"), v**2) ** 0.5, rel=1e-14)
+    # a written dual pair around it cancels before its inner dual is reduced
+    gg = parse_gauge("dual:dual:conv:2:dual:conv:3:kyfan:2")
+    assert gauge_mod._canonical_form(gg) == gauge_mod._canonical_form(g)
+    assert eval_gauge(gg, v) == eval_gauge(g, v)
 
 
 def test_dual_pair_cancels_through_a_trivial_convexification():
     # conv:1 is the identity, so the two duals around it cancel
     assert gauge_mod._canonical_form(parse_gauge("dual:conv:1:dual:kyfan:2")) == KyFan(2)
     assert gauge_mod._canonical_form(parse_gauge("dual:conv:1:dual:conv:2:kyfan:2")) == Convexified(KyFan(2), 2.0)
+
+
+def test_infinite_convexification_is_lp_inf():
+    # base(|v|^p)^(1/p) tends to max|v| for every base, so conv:inf reduces
+    # to lp:inf and its dual to lp:1, deep shapes included
+    for s in ("conv:inf:kyfan:2", "conv:inf:dual:kyfan:2", "conv:inf:conv:2:kyfan:3", "conv:2:conv:inf:kyfan:3"):
+        assert gauge_mod._canonical_form(parse_gauge(s)) == Lp(math.inf), s
+        assert dual_gauge(parse_gauge(s)) == Lp(1.0), s
+    assert gauge_mod._canonical_form(parse_gauge("dual:conv:inf:dual:conv:3:kyfan:2")) == Lp(1.0)
 
 
 def test_exponent_formatting():
@@ -407,13 +420,32 @@ def test_dual_conv_against_two_oracles(n):
         v = rng.normal(size=n)
         assert ref_gauge.eval_gauge(g, v) <= eval_gauge(g, v) * (1.0 + 1e-12), s
     for k in (1, 2, 3):
-        for p in (1.5, 2.0, 3.0, 4.5):
+        for p in (1.001, 1.01, 1.5, 2.0, 3.0, 4.5):
             for base in (Convexified(KyFan(k), p), Convexified(Dual(KyFan(k)), p)):
                 for scale in (0.5, 1.0, 2.0):
                     v = np.abs(rng.normal(size=n)) + scale * rng.uniform(size=n) ** 4
                     f = _norming_functional(base, v)
                     assert float(f @ v) == pytest.approx(_direct(base, v), rel=1e-12), (base, n)
                     assert eval_gauge(Dual(base), f) == pytest.approx(1.0, rel=1e-12), (base, n)
+
+
+@pytest.mark.parametrize("p", [1.001, 1.01])
+def test_dual_conv_near_p_one(p):
+    # q = p' is large.  At the identity the top-1 form pools all three
+    # entries at level 3, whose q-th power overflows at p = 1.001; the
+    # water-filling form's tail 0.3^q is far below the peak's power 1 and
+    # underflows there.  Both values are exact, and SLSQP stays below them
+    q = gauge_mod._conjugate(p)
+    for s, v, want in (
+        (f"dual:conv:{p}:kyfan:1", [1.0, 1.0, 1.0], 3.0),
+        (f"dual:conv:{p}:dual:kyfan:2", [1.0, 0.3, 0.3, 0.3], 1.0 + 3.0 ** (1.0 / q) * 0.3),
+    ):
+        g = parse_gauge(s)
+        got = eval_gauge(g, v)
+        assert got == pytest.approx(want, rel=1e-12), s
+        big = np.multiply(v, 1e300)
+        assert eval_gauge_rows(g, np.array([v, big])).tolist() == [got, eval_gauge(g, big)], s
+        assert ref_gauge.eval_gauge(g, v) <= got * (1.0 + 1e-12), s
 
 
 ROW_GAUGES = (
