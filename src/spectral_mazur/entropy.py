@@ -124,6 +124,11 @@ def _check_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotState(f"density matrix must be PSD: {exc}") from exc
 
 
+def _masked_xlogy(mask: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum x log y`` over the entries where ``mask`` holds, along the last axis."""
+    return np.where(mask, x * np.log(np.where(mask, y, 1.0)), 0.0).sum(-1)
+
+
 def rel_entropy(rho, sigma) -> float | np.ndarray:
     """``D(rho ‖ sigma)`` with the support convention.
 
@@ -144,28 +149,15 @@ def rel_entropy(rho, sigma) -> float | np.ndarray:
     if r.shape[-1] != n:
         raise NotState("rho and sigma must have equal dimensions")
     try:
-        shape = np.broadcast_shapes(r.shape[:-1], lam.shape[:-1])
+        np.broadcast_shapes(r.shape[:-1], lam.shape[:-1])
     except ValueError:
         raise NotState(f"stacks of {r.shape[:-1]} states and {lam.shape[:-1]} sigmas do not broadcast") from None
     # diagonal of rho in the eigenbasis of sigma
     diag = np.clip(np.diagonal(_adj(ws) @ m @ ws, axis1=-2, axis2=-1).real, 0.0, None)
-    # the masked sums go row by row: the order in which numpy sums a row
-    # depends on the row's length
     pos = r > n * _EPS * r[..., -1:]
-    term_rho = np.empty(r.shape[:-1])
-    for k in np.ndindex(term_rho.shape):
-        rk = r[k][pos[k]]
-        term_rho[k] = np.sum(rk * np.log(rk))
-    term_rho = np.broadcast_to(term_rho, shape)
-    lam = np.broadcast_to(lam, shape + (n,))
     on_support = lam > n * _EPS * lam[..., -1:]
-    out = np.empty(shape)
-    for k in np.ndindex(shape):
-        on = on_support[k]
-        if float(diag[k][~on].sum()) > 1e-10:
-            out[k] = math.inf
-        else:
-            out[k] = term_rho[k] - np.sum(diag[k][on] * np.log(lam[k][on]))
+    off_support = np.where(on_support, 0.0, diag).sum(-1)
+    out = np.where(off_support > 1e-10, math.inf, _masked_xlogy(pos, r, r) - _masked_xlogy(on_support, diag, lam))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,8 +16,9 @@ samplers of ``sampling``, which give every generator the calls it would get
 alone; draws that depend on a sample's variant go by variant group.  It
 runs LAPACK, matmul and ``rel_entropy`` once per stacked array.  It then
 builds every spectrum array it needs and evaluates them with one
-``eval_gauge_rows`` call per canonical gauge and width.  Per matrix and per
-row these give the same bits as one call per sample.  ``lemma54``,
+``eval_gauge_rows`` call per canonical gauge and width.  Per matrix, per
+row and per entry these give the same bits as one call per sample; powers
+are taken on arrays with positive strides only (see ``_desc``).  ``lemma54``,
 ``roundtrip`` and ``mazur_entropy`` draw their block the same way but then
 solve sample by sample, because their solvers take one matrix at a time;
 they solve once per canonical gauge (or exponent), and each sampled state
@@ -58,7 +59,10 @@ _BLOCK_SAMPLES = 64
 
 
 def _desc(v: np.ndarray) -> np.ndarray:
-    return np.sort(np.asarray(v, dtype=float), axis=-1)[..., ::-1]
+    """Rows sorted descending, as a copy with positive strides: numpy picks
+    its scalar or SIMD pow loop by stride, and the two differ in the last
+    bit, so a reversed view would power a row differently in another block."""
+    return np.sort(np.asarray(v, dtype=float), axis=-1)[..., ::-1].copy()
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
@@ -77,26 +81,6 @@ def _eigh_clip(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _power(lam: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     return (w * (lam**p)[..., None, :]) @ _adj(w)
-
-
-def _spow(x: np.ndarray, e: float) -> np.ndarray:
-    """``x ** e`` entry by entry with the scalar pow of Python floats.
-
-    numpy's array pow differs from it in the last bit on a few percent of
-    entries; the per-sample formulas powered Python floats.
-    """
-    return np.array([v**e for v in x.tolist()])
-
-
-def _pow_desc(d: np.ndarray, p: float) -> np.ndarray:
-    """``d ** p`` for stacked ``_desc`` rows, entry by entry as ``_desc(v) ** p``.
-
-    numpy sends a 1-d negative-stride view such as ``_desc(v)`` to its scalar
-    pow loop and every 2-d layout to its SIMD loop, which differ in the last
-    bit, so the rows are powered as one 1-d negative-stride view.
-    """
-    flat = np.ascontiguousarray(d[:, ::-1]).ravel()[::-1]
-    return (flat**p)[::-1].reshape(d.shape)[:, ::-1]
 
 
 def _gauge_table(gauges, spectra: dict) -> dict:
@@ -128,7 +112,7 @@ def _gauge_table(gauges, spectra: dict) -> dict:
 
 def _root(values: np.ndarray, p: float) -> np.ndarray:
     """The norm built from the p-convexified gauge, from the gauge of ``s ** p``."""
-    return _spow(values, 1.0 / p)
+    return values ** (1.0 / p)
 
 
 def _l1_herm(h: np.ndarray) -> float:
@@ -406,7 +390,7 @@ def _lemma41(cfg: SuiteConfig):
         sdiff = _habs(x - y)
         spectra = {}
         for p in cfg.p_grid:
-            spectra["diff", p] = _pow_desc(sdiff, p)
+            spectra["diff", p] = sdiff**p
             spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
         table = _gauge_table(gauges, spectra)
         cases = _Cases()
@@ -437,7 +421,7 @@ def _lemma42(cfg: SuiteConfig):
         for theta in thetas:
             q = 1.0 + theta
             spectra["pow", q] = _habs(_power(lx, wx, q) - _power(ly, wy, q))
-            spectra.update({(name, q): _pow_desc(d, q) for name, d in desc.items()})
+            spectra.update({(name, q): d**q for name, d in desc.items()})
         table = _gauge_table(gauges, spectra)
         cases = _Cases()
         for theta in thetas:
@@ -445,7 +429,7 @@ def _lemma42(cfg: SuiteConfig):
             for gs, _ in gauges:
                 t = table[gs]
                 nmax = np.maximum(_root(t["x", q], q), _root(t["y", q], q))
-                cases.add((gs, theta), t["pow", q], 3.0 * _root(t["diff", q], q) * _spow(nmax, theta))
+                cases.add((gs, theta), t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
 
         def describe(j, key):
             gs, theta = key
@@ -468,14 +452,14 @@ def _cor43(cfg: SuiteConfig):
         spectra = {}
         for p in cfg.p_grid:
             spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
-            spectra.update({(name, p): _pow_desc(d, p) for name, d in desc.items()})
+            spectra.update({(name, p): d**p for name, d in desc.items()})
         table = _gauge_table(gauges, spectra)
         cases = _Cases()
         for p in cfg.p_grid:
             for gs, _ in gauges:
                 t = table[gs]
                 nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
-                cases.add((gs, p), t["pow", p], 3.0 * p * _root(t["diff", p], p) * _spow(nmax, p - 1.0))
+                cases.add((gs, p), t["pow", p], 3.0 * p * _root(t["diff", p], p) * nmax ** (p - 1.0))
 
         def describe(j, key):
             gs, p = key
@@ -510,15 +494,15 @@ def _lemma44(cfg: SuiteConfig):
             xp = _power(lx, wx, p)
             spectra["comm", p] = _svals(xp @ b - b @ xp)
             spectra["s1", p] = s1**p
-            spectra["x", p] = _pow_desc(lxd, p)
+            spectra["x", p] = lxd**p
         table = _gauge_table(gauges, spectra)
         cases = _Cases()
         for p in cfg.p_grid:
             for gs, _ in gauges:
                 t = table[gs]
                 conv_s1 = _root(t["s1", p], p)
-                cases.add((gs, p, "first"), conv_s1, 4.0 * 2.0 ** (1.0 / p) * _spow(t["comm", p], 1.0 / p))
-                cases.add((gs, p, "second"), t["comm", p], 24.0 * p * _spow(_root(t["x", p], p), p - 1.0) * conv_s1)
+                cases.add((gs, p, "first"), conv_s1, 4.0 * 2.0 ** (1.0 / p) * t["comm", p] ** (1.0 / p))
+                cases.add((gs, p, "second"), t["comm", p], 24.0 * p * _root(t["x", p], p) ** (p - 1.0) * conv_s1)
 
         def describe(j, key):
             gs, p, part = key
@@ -552,7 +536,7 @@ def _lemma45(cfg: SuiteConfig):
         for p in cfg.p_grid:
             spectra["m1", p] = _svals(_power(lx, wx, p) @ b + b @ _power(ly, wy, p))
             spectra["s0", p] = s0**p
-            spectra.update({(name, p): _pow_desc(d, p) for name, d in desc.items()})
+            spectra.update({(name, p): d**p for name, d in desc.items()})
         table = _gauge_table(gauges, spectra)
         cases = _Cases()
         for p in cfg.p_grid:
@@ -560,10 +544,10 @@ def _lemma45(cfg: SuiteConfig):
                 t = table[gs]
                 n0 = _root(t["s0", p], p)
                 lhs1 = t["m1", p]
-                cases.add((gs, p, "first"), lhs1, 3.0 * _spow(_root(t["both", p], p), p - 1.0) * n0)
+                cases.add((gs, p, "first"), lhs1, 3.0 * _root(t["both", p], p) ** (p - 1.0) * n0)
                 nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
-                cases.record("first_vs_max_shape", lhs1, 3.0 * _spow(nmax, p - 1.0) * n0, cfg.abs_tol)
-                rhs2 = 2.0 ** (1.0 - 1.0 / p) * _spow(opb, 1.0 - 1.0 / p) * _spow(lhs1, 1.0 / p)
+                cases.record("first_vs_max_shape", lhs1, 3.0 * nmax ** (p - 1.0) * n0, cfg.abs_tol)
+                rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * lhs1 ** (1.0 / p)
                 if p >= 3.0:
                     cases.add((gs, p, "second"), n0, rhs2)
                 elif p > 1.0:
@@ -628,7 +612,7 @@ def _lemma47(cfg: SuiteConfig):
             spectra["comm", p] = _svals(gp @ b - b @ gp)
             if p > 1.0:
                 spectra["s1", p] = s1**p
-                spectra["e", p] = _pow_desc(eabs, p)
+                spectra["e", p] = eabs**p
         table = _gauge_table(gauges, spectra)
         cases = _Cases()
         for p in cfg.p_grid:
@@ -636,9 +620,9 @@ def _lemma47(cfg: SuiteConfig):
             for gs, _ in gauges:
                 t = table[gs]
                 if p >= 3.0:
-                    cases.add((gs, p), _root(t["s1", p], p), cp * _spow(t["comm", p], 1.0 / p))
+                    cases.add((gs, p), _root(t["s1", p], p), cp * t["comm", p] ** (1.0 / p))
                 if p > 1.0:
-                    denom = _spow(_root(t["e", p], p), p - 1.0) * _root(t["s1", p], p)
+                    denom = _root(t["e", p], p) ** (p - 1.0) * _root(t["s1", p], p)
                     cases.record("forward_free_constant", t["comm", p], denom, cfg.abs_tol)
 
         def describe(j, key):
@@ -672,10 +656,7 @@ def _entropy_props(cfg: SuiteConfig):
         d_sum = sum(lam[:, k] * d_parts[:, k] for k in range(3))
         cases = _Cases()
         cases.add("monotone", d_mono, d0)
-        # math.log, as the per-sample formula took it: numpy's array log may
-        # differ from it in the last bit
-        log_c = np.array([math.log(v) for v in c.tolist()])
-        cases.add("scaling", np.abs(d_scaled - d0 + log_c), np.zeros(len(idx)))
+        cases.add("scaling", np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
         cases.add("convexity", d_mix, d_sum)
 
         def describe(j, part):

@@ -124,6 +124,9 @@ def test_criterion_3_solver_matches_grid_oracle():
             sol = entropy_min_mat(g, rho)
             d = trace_norm(sol.minimizer - brute.minimizer)
             assert d <= 2.0 * brute.pitch, (i, format_gauge(g), d, brute.pitch)
+            # objective certificate: the grid's objective bounds the minimum
+            # from above, whatever the pitch says about distance
+            assert sol.objective <= brute.objective + 1e-12, (i, format_gauge(g), sol.objective, brute.objective)
             worst = max(worst, d / brute.pitch)
     elapsed = time.monotonic() - t0
     assert elapsed <= 30.0, f"oracle check took {elapsed:.1f}s, budget 30s"

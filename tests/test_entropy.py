@@ -129,11 +129,19 @@ def _rand_psd(rng, n, rank=None):
 
 def test_rel_entropy_on_stacks_equals_each_pair_bit_for_bit():
     rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 9, 16):
+    # from n = 8 numpy sums a row pairwise, masked zeros included
+    for n in (1, 2, 5, 9, 16, 64):
         rho = np.stack([_rand_state(rng, n) for _ in range(4)])
+        for j in (2, 3):  # rank-deficient states: the support mask drops entries
+            low = _rand_psd(rng, n, rank=max(n // 2, 1))
+            rho[j] = low / np.trace(low).real
         sigma = np.stack([[_rand_psd(rng, n) for _ in range(4)] for _ in range(3)])
         sigma[0, 1] = _rand_psd(rng, n, rank=max(n - 1, 1))  # a support leak for n > 1
-        sigma[2, 3] = rho[3]  # D(rho || rho) = 0 up to round-off
+        sigma[2, 3] = rho[3]  # D(rho || rho) = 0 up to round-off, on a deficient support
+        if n > 1:
+            r = check_state(rho[2])[0]
+            assert (r <= n * np.finfo(float).eps * r[-1]).sum() >= n - max(n // 2, 1)
+            assert math.isfinite(rel_entropy(rho[3], sigma[2, 3]))
         got = rel_entropy(rho, sigma)  # (4,) states broadcast against (3, 4) sigmas
         assert got.shape == (3, 4)
         want = [[rel_entropy(rho[j], sigma[k, j]) for j in range(4)] for k in range(3)]
@@ -338,6 +346,18 @@ def test_bruteforce_matches_solver_three_dims():
         dist = trace_norm(brute.minimizer - solved)
         assert dist <= 2.0 * brute.pitch, (s, dist, brute.pitch)
         assert brute.objective >= entropy_min_mat(g, np.diag(r)).objective - 1e-9
+
+
+def test_bruteforce_pitch_is_no_radius_but_its_objective_is_a_certificate():
+    # draw 79 of default_rng(0) Dirichlet(0.7) at dim 3: near a vanishing
+    # eigenvalue the grid winner lies several pitches from the true minimizer
+    # on the flat lp:4 sphere, yet the solver's objective beats the grid's
+    r = np.array([0.33211995968240676, 0.0013491112468248239, 0.6665309290707686])
+    g = Lp(4.0)
+    brute = entropy_min_bruteforce(g, np.diag(r))
+    sol = entropy_min_mat(g, np.diag(r))
+    assert trace_norm(sol.minimizer - brute.minimizer) > 4.0 * brute.pitch
+    assert sol.objective <= brute.objective - 3e-6
 
 
 def _reference_bruteforce(g, r):

@@ -4,14 +4,18 @@ The reference below is the one-sample-at-a-time form of every suite with a
 block worker, and of the case loop that merged them, kept as it was before
 the workers were batched per block: one ``eval_gauge`` call per gauge and
 spectrum, and one ``rel_entropy`` call per pair (in the per-pair form it
-had then).  The layouts that are easy to get wrong when batching include
+had then).  It takes powers and logs with the primitives the suites use:
+numpy's array pow on positive-stride arrays (``_desc`` returns a copy, not a
+reversed view, whose stride would send numpy to its scalar pow loop), and
+the pow or log of a Python float through a one-entry array (``_pow``,
+``_log``).  The layouts that are easy to get wrong when batching include
 ``fan_dominance`` (its defensive skip drops samples), ``lemma41``
-(``_desc(v) ** p``, which numpy powers with its scalar loop), ``lemma44``
-(the block-diagonal ``x`` of variant 2 at odd n), ``lemma45``/``lemma47``
-(conditional cases and recorded maxima, and spectra of two widths),
-``entropy_props`` (row sums over masked spectra) and ``lemma53`` (matrix
-logs).  Reports must be byte-identical, at default tolerances and at zero
-tolerances, where round-off ties become violations with labels and payloads.
+(``_desc(v) ** p``), ``lemma44`` (the block-diagonal ``x`` of variant 2 at
+odd n), ``lemma45``/``lemma47`` (conditional cases and recorded maxima, and
+spectra of two widths), ``entropy_props`` (row sums over masked spectra)
+and ``lemma53`` (matrix logs).  Reports must be byte-identical, at default
+tolerances and at zero tolerances, where round-off ties become violations
+with labels and payloads.
 
 ``lemma54``, ``roundtrip`` and ``mazur_entropy`` draw by block but still
 solve sample by sample.  Their reference solves once per gauge through the
@@ -51,7 +55,16 @@ import _reference_sampling as ref_sampling
 
 
 def _desc(v):
-    return np.sort(np.asarray(v, dtype=float))[::-1]
+    return np.sort(np.asarray(v, dtype=float))[::-1].copy()
+
+
+def _pow(x, e):
+    """``x ** e`` of a Python float, by numpy's array pow on one entry."""
+    return float((np.array([x]) ** e)[0])
+
+
+def _log(x):
+    return float(np.log(np.array([x]))[0])
 
 
 def _svals(m):
@@ -72,7 +85,7 @@ def _power(lam, w, p):
 
 
 def _conv(g, s_desc, p):
-    return eval_gauge(g, s_desc**p) ** (1.0 / p)
+    return _pow(eval_gauge(g, s_desc**p), 1.0 / p)
 
 
 def _contraction(rng, n, variant):
@@ -270,7 +283,7 @@ def _lemma42(cfg):
                 nd = _conv(g, sdiff, q)
                 nmax = max(_conv(g, lxd, q), _conv(g, lyd, q))
                 lhs = eval_gauge(g, sq)
-                rhs = 3.0 * nd * nmax**theta
+                rhs = 3.0 * nd * _pow(nmax, theta)
                 label = f"dim={n} i={i} g={gs} theta={theta}"
                 cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, theta=theta, x=x, y=y)))
         return cases, []
@@ -296,7 +309,7 @@ def _cor43(cfg):
                 nd = _conv(g, sdiff, p)
                 nmax = max(_conv(g, lxd, p), _conv(g, lyd, p))
                 lhs = eval_gauge(g, spow)
-                rhs = 3.0 * p * nd * nmax ** (p - 1.0)
+                rhs = 3.0 * p * nd * _pow(nmax, p - 1.0)
                 label = f"dim={n} i={i} g={gs} p={_fmt(p)}"
                 cases.append((label, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y)))
         return cases, []
@@ -327,12 +340,12 @@ def _lemma44(cfg):
             scp = _svals(xp @ b - b @ xp)
             for gs, g in gauges:
                 lhs1 = _conv(g, s1, p)
-                rhs1 = 4.0 * 2.0 ** (1.0 / p) * eval_gauge(g, scp) ** (1.0 / p)
+                rhs1 = 4.0 * 2.0 ** (1.0 / p) * _pow(eval_gauge(g, scp), 1.0 / p)
                 lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
                 pay = _payload(dim=n, index=i, gauge=gs, p=p, variant=variant, x=x, b=b)
                 cases.append((f"{lbl} first", lhs1, rhs1, pay))
                 lhs2 = eval_gauge(g, scp)
-                rhs2 = 24.0 * p * _conv(g, lxd, p) ** (p - 1.0) * _conv(g, s1, p)
+                rhs2 = 24.0 * p * _pow(_conv(g, lxd, p), p - 1.0) * _conv(g, s1, p)
                 cases.append((f"{lbl} second", lhs2, rhs2, pay))
         return cases, []
 
@@ -362,14 +375,14 @@ def _lemma45(cfg):
                 n0 = _conv(g, s0, p)
                 nboth = _conv(g, lboth, p)
                 lhs1 = eval_gauge(g, sm1)
-                rhs1 = 3.0 * nboth ** (p - 1.0) * n0
+                rhs1 = 3.0 * _pow(nboth, p - 1.0) * n0
                 lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
                 pay = _payload(dim=n, index=i, gauge=gs, p=p, x=x, y=y, b=b)
                 cases.append((f"{lbl} first", lhs1, rhs1, pay))
-                shape = 3.0 * max(_conv(g, lxd, p), _conv(g, lyd, p)) ** (p - 1.0) * n0
+                shape = 3.0 * _pow(max(_conv(g, lxd, p), _conv(g, lyd, p)), p - 1.0) * n0
                 if shape > cfg.abs_tol:
                     records.append(("first_vs_max_shape", lhs1 / shape))
-                rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * eval_gauge(g, sm1) ** (1.0 / p)
+                rhs2 = 2.0 ** (1.0 - 1.0 / p) * _pow(opb, 1.0 - 1.0 / p) * _pow(eval_gauge(g, sm1), 1.0 / p)
                 if p >= 3.0:
                     cases.append((f"{lbl} second", n0, rhs2, pay))
                 elif p > 1.0 and rhs2 > cfg.abs_tol:
@@ -426,10 +439,10 @@ def _lemma47(cfg):
                 lbl = f"dim={n} i={i} g={gs} p={_fmt(p)}"
                 if p >= 3.0:
                     lhs = _conv(g, s1, p)
-                    rhs = cp * eval_gauge(g, scp) ** (1.0 / p)
+                    rhs = cp * _pow(eval_gauge(g, scp), 1.0 / p)
                     cases.append((lbl, lhs, rhs, _payload(dim=n, index=i, gauge=gs, p=p, x=x, b=b)))
                 if p > 1.0:
-                    denom = _conv(g, eabs, p) ** (p - 1.0) * _conv(g, s1, p)
+                    denom = _pow(_conv(g, eabs, p), p - 1.0) * _conv(g, s1, p)
                     if denom > cfg.abs_tol:
                         records.append(("forward_free_constant", eval_gauge(g, scp) / denom))
         return cases, records
@@ -458,7 +471,7 @@ def _entropy_props(cfg):
         pay = _payload(dim=n, index=i, rho=rho, sigma=sig, c=c)
         return [
             (f"dim={n} i={i} monotone", d_mono, d0, pay),
-            (f"dim={n} i={i} scaling", abs(d_scaled - d0 + math.log(c)), 0.0, pay),
+            (f"dim={n} i={i} scaling", abs(d_scaled - d0 + _log(c)), 0.0, pay),
             (f"dim={n} i={i} convexity", d_mix, d_sum, pay),
         ], []
 
@@ -672,6 +685,40 @@ def test_every_case_equals_the_reference_case(name):
         block = blocks(n, range(cfg.samples_per_case))
         got = [(block.describe(k)[0], lhs, rhs) for k, (lhs, rhs) in enumerate(zip(block.lhs.tolist(), block.rhs.tolist()))]
         assert got == want, n
+
+
+def _case_bytes(name, cfg, size):
+    """Every case's ``lhs`` and ``rhs`` and every recorded value, as bytes,
+    from blocks of at most ``size`` samples cut as ``run_inequality_suite``
+    cuts them."""
+    worker = suites_mod._SUITES[name](cfg)
+    count = cfg.samples_per_case
+    lhs, rhs, records = [], [], {}
+    for n in cfg.dims:
+        for lo in range(0, count, size):
+            block = worker(n, range(lo, min(lo + size, count)))
+            lhs.append(block.lhs)
+            rhs.append(block.rhs)
+            # record k of a block holds its samples' values of one (key, case kind)
+            for k, (key, values) in enumerate(block.records):
+                records.setdefault((n, k, key), []).append(values)
+    return (
+        np.concatenate(lhs).tobytes(),
+        np.concatenate(rhs).tobytes(),
+        {key: np.concatenate(parts).tobytes() for key, parts in records.items()},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_every_case_is_the_same_bits_in_blocks_of_any_size(name):
+    # the report keeps only the worst ratio, so compare every case and every
+    # recorded value; a power taken on a reversed view, which numpy sends to
+    # its scalar loop, gives other bits than on a copy
+    for seed in (1, 2, 3):
+        cfg = SuiteConfig(seed=seed, dims=DIMS, samples_per_case=9, rel_tol=0.0, abs_tol=0.0)
+        want = _case_bytes(name, cfg, suites_mod._BLOCK_SAMPLES)
+        for size in (1, 7):
+            assert _case_bytes(name, cfg, size) == want, (seed, size)
 
 
 class _Wide(np.random.Generator):
