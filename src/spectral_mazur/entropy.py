@@ -458,12 +458,14 @@ def _rays(*coords) -> np.ndarray:
     """Grid points ``(c_1, ..., c_k, 1 - c_1 - ... - c_k)`` as rows.
 
     Points with a negative coordinate lie off the simplex and are dropped.
+    Masks here and in :func:`_on_sphere` reduce down the columns of a
+    transposed copy: rows are only 2 or 3 wide.
     """
     last = 1.0 - coords[0]
     for c in coords[1:]:
         last = last - c
     w = np.column_stack((*coords, last))
-    return w[np.all(w >= 0.0, axis=1)]
+    return w[(np.ascontiguousarray(w.T) >= 0.0).all(axis=0)]
 
 
 def _on_sphere(c: Gauge, rs: np.ndarray, w: np.ndarray):
@@ -476,7 +478,7 @@ def _on_sphere(c: Gauge, rs: np.ndarray, w: np.ndarray):
     nw = eval_gauge_rows(c, w)
     pos = nw > 0.0
     y = w / np.where(pos, nw, 1.0)[:, None]
-    ok = pos & np.all(y > 0.0, axis=1)
+    ok = pos & (np.ascontiguousarray(y.T) > 0.0).all(axis=0)
     vals = np.full(len(w), math.inf)
     vals[ok] = np.sum(rs * np.log(rs / y[ok]), axis=1)
     return y, vals, pos

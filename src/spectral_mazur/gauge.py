@@ -326,14 +326,13 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     This is the one evaluator: a single vector goes through it as a one-row
     array (:func:`_eval`), and each row's value depends on that row alone.
     Zero rows give 0.  Powers are taken of the row scaled by its peak, so
-    they cannot overflow for large ``p``.  Each ``Lp``/``Convexified`` row's
-    root is taken by Python's scalar pow, the last scalar pow kept for the
-    committed benchmark goldens: numpy's array pow differs from it in the
-    last bit on a few percent of entries, and through the Frank–Wolfe
-    entropy solver that moves ``cli_large``'s ``roundtrip`` ``worst_ratio``
-    by 1.9e-8 relative and its ``modulus Gp`` ``omega`` by 1.6e-11, past
-    the goldens' 1e-12.  It becomes an array root when the closed-form
-    entropy map regenerates those goldens.
+    they cannot overflow for large ``p``.  The ``Lp``/``Convexified`` root
+    is ``np.float_power``, which calls the C library's ``pow`` per entry, as
+    Python's float pow does, and so gives its bits; numpy's ``**`` on an
+    array may take a SIMD loop that differs in the last bit.  Row peaks are
+    taken down the columns of a transposed copy, which is fast for the few
+    columns of the grid oracle and exact, as any max is; row sums stay
+    along the rows, because their pairwise order fixes their bits.
 
     ``Dual(Convexified(B, p))`` is exact on the descending scaled row
     ``phi``, padded with ``phi_n = 0``, and ``q = p'``: the ``a`` largest
@@ -347,7 +346,7 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     ``sum phi_<a + (k - a) L``.  The ``k - a`` entries ``L`` enter as one,
     ``(k - a)^(1/q) L`` or ``(k - a) L``, so no power of ``L`` can overflow.
     """
-    peak = a.max(axis=1)
+    peak = np.ascontiguousarray(a.T).max(axis=0)
     if isinstance(c, Lp) and math.isinf(c.p):
         return peak
     if isinstance(c, Lp) and c.p == 1.0:
@@ -381,8 +380,7 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     # Lp with 1 < p < inf, or Convexified: peak * inner((a / peak)^p)^(1/p)
     scaled = (a / peak[:, None]) ** c.p
     inner = scaled.sum(axis=1) if isinstance(c, Lp) else _eval_rows(c.base, scaled)
-    inv = 1.0 / c.p
-    return peak * np.array([s**inv for s in inner.tolist()])
+    return peak * np.float_power(inner, 1.0 / c.p)
 
 
 # ---------------------------------------------------------------------------

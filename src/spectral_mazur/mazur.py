@@ -52,13 +52,20 @@ def _svd_powers(a, exponents) -> list[np.ndarray]:
     singular values directly keeps tiny ones at full relative accuracy, which
     the forward/inverse roundtrip depends on.  Every power reads the same
     decomposition, so each gets the bits a call with it alone would give.
+    Powers that overflow, and singular values the SVD could not represent,
+    raise :class:`NumericalFailure` before any product is formed.
     """
     m = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"SVD failed: {exc}") from exc
-    return [(u * s**e) @ vh for e in exponents]
+    with np.errstate(over="ignore"):
+        powers = [s**e for e in exponents]
+    for e, x in zip(exponents, powers):
+        if not np.isfinite(x).all():
+            raise NumericalFailure(f"power {e!r} of the largest singular value {float(s[0])!r} is not finite")
+    return [(u * x) @ vh for x in powers]
 
 
 def mazur_forward(a, p) -> np.ndarray:

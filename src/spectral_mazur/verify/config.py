@@ -79,6 +79,10 @@ class SuiteConfig:
             entries = _checked(name, getattr(self, name), (list, tuple))
             object.__setattr__(self, name, tuple(_checked(f"{name} entry", x, types) for x in entries))
         object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
+        # the sampler keys on one 32-bit word of the seed, so a wider seed
+        # would draw the samples of another while its report named its own
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must satisfy 0 <= seed < 2**32, got {self.seed}")
         if not self.dims:
             raise ConfigError("dims must be nonempty")
         for d in self.dims:

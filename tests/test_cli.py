@@ -487,11 +487,16 @@ def test_non_utf8_input_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
+def _process_env() -> dict:
+    """The environment of a child process that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_runs_as_a_process(tmp_path):
     # an exception that escapes main() exits 1 with a traceback only in a
     # real process, so the exit-code contract is checked there too
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _process_env()
     argv = [sys.executable, "-m", "spectral_mazur", "verify", "holder", "--dims", "2", "--samples", "1"]
     ok = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert ok.returncode == 0, ok.stderr
@@ -502,11 +507,43 @@ def test_cli_runs_as_a_process(tmp_path):
     assert "Traceback" not in bad.stderr
 
 
+def test_power_overflow_exits_3_without_a_warning(tmp_path):
+    # a power map whose singular values overflow is a numerical failure,
+    # reported as such before anything is written, and numpy stays silent
+    env = _process_env()
+    write_matrix(tmp_path / "big.json", np.full((2, 2), 1e308))
+    cli_argv = [sys.executable, "-m", "spectral_mazur"]
+    for argv in (
+        ["map", "mazur", "big.json", "--gauge", "lp:1", "--p", "3", "--out", "out.json"],
+        ["modulus", "Gp", "--gauge", "lp:1", "--p", "1e308", "--dims", "2", "--samples", "2", "--out", "prof"],
+    ):
+        run = subprocess.run([*cli_argv, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 3, (argv, run.stderr)
+        assert run.stderr.startswith("numerical failure:"), run.stderr
+        assert "Warning" not in run.stderr and "Traceback" not in run.stderr, run.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967296", "4294967297", "-4294967295"])
+def test_seed_outside_one_word_is_a_usage_error(tmp_path, capsys, seed):
+    # the sampler keys on one 32-bit word, so these seeds would draw the
+    # samples of seeds inside it while their reports named their own
+    for argv in (
+        ["verify", "holder", "--dims", "3", "--samples", "4", "--seed", seed, "--out", str(tmp_path / "v")],
+        ["modulus", "Gp", "--gauge", "lp:1", "--p", "3", "--dims", "2", "--samples", "2", "--seed", seed, "--out", str(tmp_path / "m" / "x")],
+    ):
+        assert main([*argv, *TS]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: seed must satisfy 0 <= seed < 2**32"), argv
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": int(seed)}))
+    assert main(["verify", "holder", "--config", str(cfg_file), "--out", str(tmp_path / "v"), *TS]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy unimportable the
     # package evaluates the exact duals and runs a suite
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _process_env()
     script = """
 import sys
 sys.modules["scipy"] = None

@@ -438,6 +438,51 @@ def test_bruteforce_matches_per_point_reference(n):
             assert abs(rep.pitch - pitch) <= 1e-12 * pitch, (r, s)
 
 
+# (state, gauge, objective, pitch, minimizer diagonal), recorded from the
+# grid oracle while its roots were Python's scalar pow and its row peaks and
+# masks were reduced along the rows
+BRUTEFORCE_PINS = (
+    ([0.3, 0.7], "lp:1.5", -0.20362143401829724, 1.1905585447502531e-06, [0.44814049357839153, 0.7883735020438216]),
+    ([0.3, 0.7], "lp:4", -0.4581482265411695, 1.6027767136828075e-06, [0.7400827850543318, 0.91469122952468]),
+    ([0.3, 0.7], "kyfan:2", 0.0, 1.0000000000842668e-06, [0.3, 0.7]),
+    ([0.3, 0.7], "dual:kyfan:2", -0.6108643020548935, 1.9999980003237994e-06, [1.0, 1.0]),
+    ([0.3, 0.7], "conv:2:kyfan:2", -0.30543215102742544, 1.3265956094743458e-06, [0.5477226797875764, 0.836659946481434]),
+    ([0.3, 0.7], "conv:3:lp:2", -0.5090535850457383, 1.7193807938520322e-06, [0.8181888797555731, 0.9422865535227988]),
+    ([0.3, 0.7], "dual:conv:2:kyfan:2", -0.30543215102742544, 1.3265956094743458e-06, [0.5477226797875764, 0.836659946481434]),
+    ([0.2, 0.5, 0.3], "lp:1.5", -0.3432175776218034, 0.001209667123478697, [0.3419980113823715, 0.6301520451941621, 0.4479108903398879]),
+    ([0.2, 0.5, 0.3], "lp:4", -0.7722394014366925, 0.0019755609547226216, [0.6683346278597725, 0.8408080802106815, 0.7405110182457508]),
+    ([0.2, 0.5, 0.3], "kyfan:2", -0.33650583350462826, 0.0015615240474706193, [0.5, 0.5, 0.5]),
+    ([0.2, 0.5, 0.3], "dual:kyfan:2", -0.6931471805599453, 0.0016666666666668162, [0.4, 1.0, 0.6000000000000001]),
+    ([0.2, 0.5, 0.3], "conv:2:kyfan:2", -0.6830794237846008, 0.0022084659894102687, [0.7071067811865475, 0.7071067811865475, 0.7071067811865475]),
+    ([0.2, 0.5, 0.3], "conv:3:lp:2", -0.8580439123226266, 0.00220101420306118, [0.7648763211048832, 0.8906376569199719, 0.8184795134195114]),
+    ([0.2, 0.5, 0.3], "dual:conv:2:kyfan:2", -0.34657359027997264, 0.0011785113019777138, [0.282842712474619, 0.7071067811865475, 0.42426406871192857]),
+    ([0.05, 0.15, 0.8], "lp:1.5", -0.20428961434586973, 0.0009728803784909146, [0.13598711692045895, 0.2821066072585207, 0.8617850233076928]),
+    ([0.05, 0.15, 0.8], "lp:4", -0.45965205644376095, 0.0017961201857385478, [0.47284531507168287, 0.6225229687634386, 0.9456906301433657]),
+    ([0.05, 0.15, 0.8], "kyfan:2", -0.11246702892376167, 0.0010000000000000564, [0.2, 0.2, 0.8]),
+    ([0.05, 0.15, 0.8], "dual:kyfan:2", -0.5004024235381879, 0.0016666666666668162, [0.25, 0.75, 1.0]),
+    ([0.05, 0.15, 0.8], "conv:2:kyfan:2", -0.3626682406928555, 0.0014912083085836803, [0.4472135954999579, 0.4472135954999579, 0.8944271909999159]),
+    ([0.05, 0.15, 0.8], "conv:3:lp:2", -0.5107243506590755, 0.0021833274084861465, [0.6062983514310368, 0.7288989659384187, 0.9635642046439545]),
+    ([0.05, 0.15, 0.8], "dual:conv:2:kyfan:2", -0.2502012117690939, 0.001006607768896453, [0.11180339887498948, 0.33541019662496846, 0.8944271909999159]),
+    ([0.6, 0.0, 0.4], "lp:1.5", -0.22433722233641679, 1.242995269712388e-06, [0.7113786311978785, 0.0, 0.5428835573171469]),
+    ([0.6, 0.0, 0.4], "lp:4", -0.5047587502568531, 1.6626782270989793e-06, [0.8801118884869155, 0.0, 0.7952705231610618]),
+    ([0.6, 0.0, 0.4], "kyfan:2", 0.0, 9.999999999177334e-07, [0.6, 0.0, 0.4]),
+    ([0.6, 0.0, 0.4], "dual:kyfan:2", -0.6730116670092565, 1.9999980003237994e-06, [1.0, 0.0, 1.0]),
+    ([0.6, 0.0, 0.4], "conv:2:kyfan:2", -0.3365058335043971, 1.3928380935279705e-06, [0.7745969732381761, 0.0, 0.6324551597151028]),
+    ([0.6, 0.0, 0.4], "conv:3:lp:2", -0.5608430558410216, 1.7667736964543934e-06, [0.9183859711439017, 0.0, 0.8583741222301013]),
+    ([0.6, 0.0, 0.4], "dual:conv:2:kyfan:2", -0.3365058335043971, 1.3928380935279705e-06, [0.7745969732381761, 0.0, 0.6324551597151028]),
+)
+
+
+@pytest.mark.parametrize("r, s, objective, pitch, y", BRUTEFORCE_PINS, ids=[f"{pin[0]}-{pin[1]}" for pin in BRUTEFORCE_PINS])
+def test_bruteforce_bits_are_pinned(r, s, objective, pitch, y):
+    # every output bit of the oracle, for 1- to 3-wide rows through the
+    # Lp, Ky Fan, convexified and dual row kernels
+    rep = entropy_min_bruteforce(parse_gauge(s), np.diag(r))
+    assert rep.objective.hex() == objective.hex()
+    assert rep.pitch.hex() == pitch.hex()
+    assert rep.minimizer.tobytes() == np.diag(y).astype(complex).tobytes()
+
+
 def test_bruteforce_calls_no_solver_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the grid oracle called the solver's code")

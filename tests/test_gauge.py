@@ -30,6 +30,7 @@ from spectral_mazur import (
 )
 from spectral_mazur import gauge as gauge_mod
 from spectral_mazur.errors import GaugeParseError, NotSmooth, NumericalFailure, ZeroVector
+from spectral_mazur.verify.config import DEFAULT_GAUGES, DEFAULT_P_GRID
 
 import _reference_gauge as ref_gauge
 
@@ -466,11 +467,27 @@ ROW_GAUGES = (
 )
 
 
+def _oracle_grid(dim: int) -> np.ndarray:
+    """The grid oracle's shapes: 4001 rays through the 2-simplex, or the
+    81 x 81 refinement around a 3-simplex point, with zero rows among them
+    and copies of the first 200 rows scaled by 1e300 and 1e-300."""
+    if dim == 2:
+        t = np.linspace(0.0, 1.0, 4001)
+        grid = np.column_stack((t, 1.0 - t))
+    else:
+        axis = np.linspace(-1.0 / 60, 1.0 / 60, 81)
+        da, db = np.meshgrid(axis, axis, indexing="ij")
+        a, b = 0.3 + da.ravel(), 0.45 + db.ravel()
+        grid = np.column_stack((a, b, 1.0 - a - b))
+    grid = np.insert(grid, [0, 1, len(grid) // 2, len(grid)], 0.0, axis=0)
+    return np.vstack([grid, grid[:200] * 1e300, grid[:200] * 1e-300])
+
+
 @pytest.mark.parametrize("s", ROW_GAUGES)
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17, "oracle2", "oracle3"])
 def test_eval_gauge_rows_equals_eval_gauge_exactly(s, n):
     g = parse_gauge(s)
-    rows = _rows_cases(n, n)
+    rows = _oracle_grid(int(n[-1])) if isinstance(n, str) else _rows_cases(n, n)
     desc = np.sort(np.abs(rows), axis=1)[:, ::-1]  # the suites pass descending views
     for a in (rows, desc):
         want = [ref_gauge.eval_gauge(g, row) for row in a]
@@ -478,7 +495,39 @@ def test_eval_gauge_rows_equals_eval_gauge_exactly(s, n):
         assert got.shape == (len(a),)
         assert got.tolist() == want
         assert [eval_gauge(g, row) for row in a] == want
-    assert eval_gauge_rows(g, rows)[6] == 0.0
+    zero = ~rows.any(axis=1)
+    assert zero.any() and not eval_gauge_rows(g, rows)[zero].any()
+
+
+def _root_exponents() -> list[float]:
+    """The exponents whose roots the row evaluator takes for the default
+    suite gauges, the row gauges and the oracle gauges, convexified over
+    the default p-grid, and for their duals, plus the near-1 duals above."""
+    found = {gauge_mod._conjugate(1.001), gauge_mod._conjugate(1.01)}
+    for s in (*DEFAULT_GAUGES, *ROW_GAUGES, "lp:3", "conv:2:lp:2"):
+        for p in DEFAULT_P_GRID:
+            for c in (convexify(parse_gauge(s), p), dual_gauge(convexify(parse_gauge(s), p))):
+                if isinstance(c, (Lp, Convexified)):
+                    found.add(c.p)
+                elif isinstance(c, Dual) and isinstance(c.base, Convexified):
+                    found.add(gauge_mod._conjugate(c.base.p))  # the l^q root of the pooled row
+    return sorted(p for p in found if 1.0 < p < math.inf)
+
+
+def test_float_power_root_is_the_scalar_pow():
+    # the row evaluator's root is np.float_power because it calls the C
+    # library's pow per entry, exactly as Python's float pow does; a numpy
+    # whose float_power takes a SIMD loop fails here first
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.uniform(1.0, 64.0, 20000), rng.uniform(0.0, 1.0, 5000), 10.0 ** rng.uniform(-300, 0, 5000), [0.0, 1.0, 2.0, 17.0]])
+    exponents = _root_exponents()
+    assert len(exponents) > 30 and {1.5, 2.0, 6.0, 60.0} <= set(exponents)
+    for p in exponents:
+        inv = 1.0 / p
+        got = np.float_power(x, inv)
+        assert got.dtype == np.float64
+        assert got.tolist() == [s**inv for s in x.tolist()], p
+        assert np.float_power(x[::-3], inv).tolist() == got[::-3].tolist(), p
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

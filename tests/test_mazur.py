@@ -1,5 +1,7 @@
 """Power maps between unit spheres: norm identities, equivariance, inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from spectral_mazur import (
     tilde_pair,
     tilde_selfadjoint,
 )
-from spectral_mazur.errors import DimensionMismatch, GaugeParseError
+from spectral_mazur.errors import DimensionMismatch, GaugeParseError, NumericalFailure
 
 
 def _rand(rng, n):
@@ -124,6 +126,32 @@ def test_inverse_is_forward_with_reciprocal_exponent():
     out2 = mazur_forward(a, 1.0)  # sanity: p=1 identity
     assert np.allclose(out2, a, atol=1e-12)
     assert np.allclose(singular_values(out1), singular_values(a) ** 0.25, rtol=1e-10)
+
+
+def test_overflowing_power_is_a_numerical_failure_without_a_warning():
+    # a power past the float range, and a singular value the SVD itself
+    # cannot represent, are refused before any product is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="not finite"):
+            mazur_forward(np.diag([1e200, 1.0]), 2.0)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            mazur_forward(np.eye(2) * (1.0 + 2.0**-52), 1e308)
+        with pytest.raises(NumericalFailure):
+            mazur_forward(np.full((2, 2), 1e308), 3.0)  # its largest singular value is 2e308
+        big = mazur_forward(np.diag([1e100, -1.0]), 3.0)
+    assert np.allclose(big, np.diag([1e300, -1.0]), rtol=1e-12, atol=0.0)
+
+
+def test_finite_powers_are_u_s_power_v():
+    # the overflow check reads the powers and changes none of their bits
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 8):
+        a = _rand(rng, n)
+        u, s, vh = np.linalg.svd(a)
+        for p in (1.0, 1.5, 3.0):
+            assert mazur_forward(a, p).tobytes() == ((u * s**p) @ vh).tobytes(), (n, p)
+            assert mazur_inverse(a, p).tobytes() == ((u * s ** (1.0 / p)) @ vh).tobytes(), (n, p)
 
 
 # ---------------------------------------------------------------------------

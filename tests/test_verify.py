@@ -45,6 +45,17 @@ def test_config_validation():
         SuiteConfig(rel_tol=-1.0)
 
 
+def test_config_refuses_seeds_outside_one_word():
+    # make_rng keeps the low 32 bits of each key part, so seed 2**32 + 1
+    # would draw the samples of seed 1 under a report that names its own
+    for seed in (-1, 2**32, 2**32 + 1, -(2**32) + 1):
+        with pytest.raises(ConfigError, match="seed"):
+            SuiteConfig(seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            SuiteConfig.from_json({"seed": seed})
+    assert SuiteConfig(seed=0).seed == 0 and SuiteConfig(seed=2**32 - 1).seed == 2**32 - 1
+
+
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         SuiteConfig.from_json({"seed": 1, "bogus": 2})
