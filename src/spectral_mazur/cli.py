@@ -26,8 +26,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .entropy import EntropyMinReport, entropy_min_general, entropy_min_mat, norming_state
+from .entropy import EntropyMinReport, entropy_min_general, entropy_min_mat
 from .errors import (
     ConfigError,
     NotPositive,
@@ -36,9 +38,8 @@ from .errors import (
     PreconditionError,
     ZeroMatrix,
 )
-from .gauge import convexify, parse_gauge
-from .matnorm import _eigh_psd, matrix_from_json, matrix_to_json, norm_ui, trace_norm
-from .mazur import mazur_forward, mazur_inverse
+from .gauge import parse_gauge
+from .matnorm import _eigh_psd, matrix_from_json, matrix_to_json, norm_ui
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -47,9 +48,13 @@ from .verify import (
     estimate_modulus,
     run_inequality_suite,
 )
+from .verify.config import _fields_json
 from .verify.modulus import _sphere_map
 
 __all__ = ["RunManifest", "main", "entry"]
+
+# each map kind is one of the modulus profiler's sphere maps
+_MAP_KINDS = {"mazur": "Gp", "mazur-inv": "Gp_inv", "entropy-min": "FX", "gmap": "FX_inv"}
 
 
 @dataclass(frozen=True)
@@ -70,14 +75,7 @@ class RunManifest:
     timestamp: str
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "input_paths": list(self.input_paths),
-            "output_path": self.output_path,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+        return _fields_json(self)
 
 
 def _timestamp(args) -> str:
@@ -169,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--gauge", required=True, help="gauge descriptor, e.g. lp:2, kyfan:3, conv:2:lp:1, dual:lp:3")
 
     p_map = sub.add_parser("map", parents=[written], help="apply a sphere map to a matrix")
-    p_map.add_argument("kind", choices=("mazur", "mazur-inv", "entropy-min", "gmap"))
+    p_map.add_argument("kind", choices=tuple(_MAP_KINDS))
     p_map.add_argument("matrix", help="path to a matrix JSON file")
     p_map.add_argument("--gauge", required=True, help="gauge descriptor")
     p_map.add_argument("--p", type=float, default=None, help="exponent, read only by mazur and mazur-inv")
@@ -203,36 +201,27 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _project(kind: str, g, p, m):
-    if kind == "mazur":
-        nrm = norm_ui(convexify(g, p), m)
-    elif kind == "entropy-min":
-        nrm = trace_norm(m)
-    else:  # mazur-inv, gmap: the base-gauge sphere
-        nrm = norm_ui(g, m)
-    if nrm <= 0.0:
-        raise ZeroMatrix("cannot project the zero matrix onto a sphere")
-    return m / nrm
-
-
 def _cmd_map(args) -> int:
     kind = args.kind
-    power_map = kind in ("mazur", "mazur-inv")
-    if power_map and args.p is None:
-        raise ConfigError(f"map kind {kind!r} requires --p")
-    if not power_map and args.p is not None:
-        raise ConfigError(f"map kind {kind!r} takes no --p")
     g = parse_gauge(args.gauge)
+    # the --p rule and the gauge's preconditions are refused before the
+    # matrix is read
+    dom, _, apply, _ = _sphere_map(_MAP_KINDS[kind], g, args.p, label=kind)
     m = _load_matrix(args.matrix)
     if args.project:
-        m = _project(kind, g, args.p, m)
+        # scale by the largest entry modulus first, dividing the real and
+        # imaginary parts as reals: numpy divides a complex array by a real
+        # through its reciprocal, which overflows for a subnormal divisor
+        peak = float(np.abs(m).max())
+        if peak == 0.0:
+            raise ZeroMatrix("cannot project the zero matrix onto a sphere")
+        m = (m.view(float) / peak).view(complex)
+        m = m / norm_ui(dom, m)
 
     report: EntropyMinReport | None = None
-    if kind == "mazur":
-        result = mazur_forward(m, args.p)
-    elif kind == "mazur-inv":
-        result = mazur_inverse(m, args.p)
-    elif kind == "entropy-min":
+    if kind == "entropy-min":
+        # not the profiler's FX map, which takes states only: this one also
+        # takes general matrices, and its artifact carries the solver report
         try:
             lam, _ = _eigh_psd(m)
         except NotPositive:
@@ -246,8 +235,8 @@ def _cmd_map(args) -> int:
                 raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
             report = entropy_min_mat(g, m / tn)
             result = report.minimizer
-    else:  # gmap
-        result = norming_state(g, m)
+    else:
+        result = apply(m)
 
     manifest = RunManifest(
         command=f"spectral-mazur map {kind}",
@@ -263,9 +252,7 @@ def _cmd_map(args) -> int:
     )
     artifact = {"manifest": manifest.to_dict(), "matrix": matrix_to_json(result)}
     if report is not None:
-        rep = report.to_json()
-        rep.pop("minimizer", None)
-        artifact["report"] = rep
+        artifact["report"] = {k: v for k, v in _fields_json(report).items() if k != "minimizer"}
     text = dumps_json(artifact)
     if args.out:
         _write_text(args.out, text)
@@ -323,11 +310,7 @@ def _cmd_modulus(args) -> int:
         config={
             "gauge": args.gauge,
             "p": args.p,
-            "seed": cfg.seed,
-            "dims": list(cfg.dims),
-            "samples_per_case": cfg.samples_per_case,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
+            **{k: v for k, v in cfg.to_json().items() if k not in ("gauges", "p_grid")},
         },
         input_paths=(),
         output_path=base,

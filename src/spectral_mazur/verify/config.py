@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import ConfigError, DimensionTooLarge
 from ..gauge import Gauge, parse_gauge
@@ -50,6 +50,12 @@ def _checked(name: str, value, types):
 def dumps_json(obj) -> str:
     """Canonical JSON used for every artifact the package writes."""
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=2) + "\n"
+
+
+def _fields_json(obj) -> dict:
+    """A dataclass's fields by name, in declaration order.  Shallow: values
+    are the instance's own objects, and tuples serialize as JSON lists."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -106,30 +112,13 @@ class SuiteConfig:
         return tuple((s, parse_gauge(s)) for s in self.gauges)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "samples_per_case": self.samples_per_case,
-            "gauges": list(self.gauges),
-            "p_grid": list(self.p_grid),
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-        }
+        return _fields_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"suite config must be an object, got {type(obj).__name__}")
-        known = {
-            "seed",
-            "dims",
-            "samples_per_case",
-            "gauges",
-            "p_grid",
-            "rel_tol",
-            "abs_tol",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
@@ -149,13 +138,7 @@ class Violation:
     payload: dict
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "payload": self.payload,
-        }
+        return _fields_json(self)
 
 
 @dataclass(frozen=True)
@@ -176,13 +159,12 @@ class SuiteReport:
     passed: bool
     recorded: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "recorded", dict(sorted(self.recorded.items())))
+
     def to_json(self) -> dict:
         return {
-            "suite_name": self.suite_name,
+            **_fields_json(self),
             "config": self.config.to_json(),
-            "cases_run": self.cases_run,
             "violations": [v.to_json() for v in self.violations],
-            "worst_ratio": self.worst_ratio,
-            "passed": self.passed,
-            "recorded": {k: self.recorded[k] for k in sorted(self.recorded)},
         }

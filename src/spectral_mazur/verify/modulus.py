@@ -41,7 +41,8 @@ from ..errors import ConfigError, NotSmooth
 from ..gauge import Gauge, Lp, _canonical_form, convexify, eval_gauge, format_gauge
 from ..mazur import _check_power, mazur_forward, mazur_inverse
 from . import sampling
-from .config import SuiteConfig
+from .config import SuiteConfig, _fields_json
+from .suites import _habs
 
 __all__ = ["MAP_NAMES", "ModulusProfile", "estimate_modulus"]
 
@@ -61,21 +62,13 @@ class ModulusProfile:
     bound_violations: int
 
     def to_json(self) -> dict:
-        return {
-            "map_name": self.map_name,
-            "bins": list(self.bins),
-            "bound_violations": self.bound_violations,
-        }
+        return _fields_json(self)
 
     def to_csv(self) -> str:
         lines = ["t,omega,count,bound"]
         for b in self.bins:
             lines.append(f"{b['t']:.15g},{b['omega']:.15g},{b['count']},{b['bound']:.15g}")
         return "\n".join(lines) + "\n"
-
-
-def _habs(h: np.ndarray) -> np.ndarray:
-    return np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
 
 
 def _norm_herm(g: Gauge, h: np.ndarray) -> float:
@@ -93,23 +86,25 @@ def _perturb_psd(rng: np.random.Generator, a: np.ndarray, g: Gauge) -> np.ndarra
     return b / _norm_herm(g, b)
 
 
-def _sphere_map(map_name: str, gauge: Gauge, p: float | None):
+def _sphere_map(map_name: str, gauge: Gauge, p: float | None, label: str | None = None):
     """``(domain gauge, image gauge, map, bound)`` of one sphere map.
 
     Every argument and precondition check of :func:`estimate_modulus` is
     made here, so a caller can refuse a call before it does any work.
+    Messages name the map ``label``, by default ``map_name``.
     """
     if map_name not in MAP_NAMES:
         raise ConfigError(f"unknown map {map_name!r}; choose from {list(MAP_NAMES)}")
+    label = label or map_name
     if map_name in ("Gp", "Gp_inv"):
         if p is None:
-            raise ConfigError(f"map {map_name!r} requires an exponent p")
+            raise ConfigError(f"map {label!r} requires an exponent p")
         _check_power(p)
         base, conv, e = gauge, convexify(gauge, p), p
         power, root = partial(mazur_forward, p=p), partial(mazur_inverse, p=p)
     else:
         if p is not None:
-            raise ConfigError(f"map {map_name!r} takes no exponent p")
+            raise ConfigError(f"map {label!r} takes no exponent p")
         c = _canonical_form(gauge)
         if not (gauge.smooth or (map_name == "FX" and c == Lp(1.0))):
             raise NotSmooth(f"gauge {format_gauge(gauge)} is not smooth")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,52 @@ def test_map_artifact_rerun_byte_identical(mat_file, tmp_path):
 def test_map_requires_p(mat_file, capsys):
     path, _ = mat_file
     assert main(["map", "mazur", path, "--gauge", "lp:2"]) == 2
+
+
+@pytest.mark.parametrize(
+    ("kind", "flags", "code", "message"),
+    [
+        ("mazur", [], 2, "error: map 'mazur' requires"),
+        ("mazur-inv", [], 2, "error: map 'mazur-inv' requires"),
+        ("entropy-min", ["--p", "2"], 2, "error: map 'entropy-min' takes no"),
+        ("gmap", ["--p", "2"], 2, "error: map 'gmap' takes no"),
+        ("entropy-min", ["--gauge", "kyfan:1"], 4, "precondition violated: smooth-gauge:"),
+        ("gmap", ["--gauge", "lp:1"], 4, "precondition violated: smooth-gauge:"),
+    ],
+)
+def test_map_refuses_before_reading_the_matrix(tmp_path, capsys, kind, flags, code, message):
+    # each map kind is one of the modulus profiler's maps, whose --p rule
+    # and gauge preconditions are refused before the matrix is read
+    argv = ["map", kind, str(tmp_path / "missing.json"), "--gauge", "lp:2", *flags, "--out", str(tmp_path / "o.json"), *TS]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "cannot read" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["mazur", "mazur-inv", "entropy-min", "gmap"])
+def test_map_projects_a_subnormal_matrix(tmp_path, monkeypatch, kind):
+    # --project scales by the largest entry first: dividing diag(1e-320,
+    # 1e-320) by its norm directly overflows numpy's complex division
+    path = tmp_path / "tiny.json"
+    write_matrix(path, np.diag([1e-320, 1e-320]).astype(complex))
+    seen = []
+    sphere_map = cli._sphere_map
+
+    def spy(*args, **kwargs):
+        dom, img, apply, bound = sphere_map(*args, **kwargs)
+        seen.append(dom)
+        return dom, img, lambda m: seen.append(m) or apply(m), bound
+
+    eigh_psd = cli._eigh_psd
+    monkeypatch.setattr(cli, "_sphere_map", spy)
+    monkeypatch.setattr(cli, "_eigh_psd", lambda m: seen.append(m) or eigh_psd(m))
+    p = ["--p", "3"] if kind.startswith("mazur") else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["map", kind, str(path), "--gauge", "lp:2", *p, "--project", "--out", str(tmp_path / "o.json"), *TS]) == 0
+    dom, projected = seen[:2]
+    assert norm_ui(dom, projected) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_map_entropy_min_includes_report(state_file, tmp_path):

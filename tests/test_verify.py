@@ -14,9 +14,9 @@ from spectral_mazur import (
     parse_gauge,
     run_inequality_suite,
 )
-from spectral_mazur.cli import main
+from spectral_mazur.cli import RunManifest, main
 from spectral_mazur.errors import ConfigError, DimensionTooLarge, NotSmooth, NumericalFailure, UnknownSuite
-from spectral_mazur.verify import CORE_SUITE_NAMES, dumps_json, make_rng
+from spectral_mazur.verify import CORE_SUITE_NAMES, ModulusProfile, SuiteReport, Violation, dumps_json, make_rng
 from spectral_mazur.verify import modulus as modulus_mod
 from spectral_mazur.verify import sampling
 from spectral_mazur.verify import suites as suites_mod
@@ -66,6 +66,37 @@ def test_config_from_json_rejects_unknown_keys():
 def test_config_json_roundtrip():
     cfg = SuiteConfig(seed=9, dims=(3, 5), samples_per_case=11)
     assert SuiteConfig.from_json(cfg.to_json()) == cfg
+
+
+def _artifacts():
+    violation = Violation(case="c", lhs=2.0, rhs=1.0, ratio=2.0, payload={"x": [1]})
+    report = SuiteReport("s", SMALL, 1, (violation,), 2.0, False, {"b": 1.0, "a": 2.0})
+    profile = ModulusProfile(map_name="Gp", bins=({"t": 1.0, "omega": 0.0, "count": 0, "bound": 3.0},), bound_violations=0)
+    manifest = RunManifest(command="c", config={}, input_paths=("m.json",), output_path=None, version="v", timestamp="t")
+    return {
+        "SuiteConfig": (SMALL, SMALL.to_json()),
+        "Violation": (violation, violation.to_json()),
+        "SuiteReport": (report, report.to_json()),
+        "ModulusProfile": (profile, profile.to_json()),
+        "RunManifest": (manifest, manifest.to_dict()),
+    }
+
+
+@pytest.mark.parametrize("name", ["SuiteConfig", "Violation", "SuiteReport", "ModulusProfile", "RunManifest"])
+def test_artifact_json_keys_are_the_field_names_in_order(name):
+    obj, data = _artifacts()[name]
+    assert list(data) == [f.name for f in dataclasses.fields(obj)]
+
+
+def test_report_json_is_shallow_and_sorts_recorded():
+    # payloads are not copied: a report with many violations serializes
+    # without a deep copy of each
+    rep = _artifacts()["SuiteReport"][0]
+    data = rep.to_json()
+    assert data["violations"][0]["payload"] is rep.violations[0].payload
+    assert data["config"] == SMALL.to_json()
+    assert list(data["recorded"]) == ["a", "b"]
+    assert dumps_json(data).index('"a"') < dumps_json(data).index('"b"')
 
 
 # ---------------------------------------------------------------------------
