@@ -39,7 +39,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .gauge import parse_gauge
-from .matnorm import _eigh_psd, matrix_from_json, matrix_to_json, norm_ui
+from .matnorm import _eigh_psd, matrix_to_json, norm_ui, read_matrix
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -99,10 +99,6 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from exc
-
-
-def _load_matrix(path: str):
-    return matrix_from_json(_read_json(path, "matrix"))
 
 
 def _make_dir(path) -> None:
@@ -196,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_norm(args) -> int:
     g = parse_gauge(args.gauge)
-    m = _load_matrix(args.matrix)
+    m = read_matrix(args.matrix)
     print(f"{norm_ui(g, m):.15g}")
     return 0
 
@@ -207,7 +203,7 @@ def _cmd_map(args) -> int:
     # the --p rule and the gauge's preconditions are refused before the
     # matrix is read
     dom, _, apply, _ = _sphere_map(_MAP_KINDS[kind], g, args.p, label=kind)
-    m = _load_matrix(args.matrix)
+    m = read_matrix(args.matrix)
     if args.project:
         # scale by the largest entry modulus first, dividing the real and
         # imaginary parts as reals: numpy divides a complex array by a real

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     MatrixFormatError,
     NotPositive,
     NumericalFailure,
@@ -262,9 +263,14 @@ def write_matrix(path, a) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """The matrix in JSON file ``path``.  An unreadable file is a
+    :class:`ConfigError`, and a file that is not UTF-8 JSON a
+    :class:`MatrixFormatError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MatrixFormatError(f"invalid UTF-8 JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix file {str(path)!r}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MatrixFormatError(f"cannot read matrix file {str(path)!r}: {exc}") from exc
     return matrix_from_json(obj)

@@ -100,7 +100,10 @@ class SuiteConfig:
             raise ConfigError("samples_per_case must be >= 1")
         if not self.gauges:
             raise ConfigError("gauges must be nonempty")
-        self.parsed_gauges()  # a gauge that cannot be read is refused before any suite runs
+        # a gauge that cannot be read is refused before any suite runs; the
+        # parsed gauges are kept outside the fields, so equality, hash and
+        # JSON ignore them, and every block shares them
+        object.__setattr__(self, "_parsed_gauges", tuple((s, parse_gauge(s)) for s in self.gauges))
         # non-finite values cannot be written into a report
         for p in self.p_grid:
             if not 1.0 <= p < math.inf:
@@ -109,7 +112,8 @@ class SuiteConfig:
             raise ConfigError("tolerances must be finite and nonnegative")
 
     def parsed_gauges(self) -> tuple[tuple[str, Gauge], ...]:
-        return tuple((s, parse_gauge(s)) for s in self.gauges)
+        """``(descriptor, gauge)`` for each of ``gauges``, parsed once."""
+        return self._parsed_gauges
 
     def to_json(self) -> dict:
         return _fields_json(self)

@@ -3,24 +3,32 @@
 Each suite draws deterministic random instances (see ``sampling``), evaluates
 an inequality ``lhs <= rhs`` for every applicable gauge/exponent combination,
 and reports violations under the rule ``lhs > rhs * (1 + rel_tol) + abs_tol``.
-Suites are registered by name; ``run_inequality_suite`` evaluates one suite
-and produces a deterministic :class:`SuiteReport`.
+``run_inequality_suite`` evaluates one registered suite and produces a
+deterministic :class:`SuiteReport`.
 
-Concurrency model: the samples of each dimension are cut into blocks of at
-most ``_BLOCK_SAMPLES`` consecutive indices, and a worker evaluates one block.
-Every sample still draws from its own generator, keyed by
-``(seed, suite, dim, index)`` and never by its block, so neither the block
-size nor the number of threads can change what a sample is.  A worker makes
-the generators of its block and draws the whole block through the stacked
-samplers of ``sampling``, which give every generator the calls it would get
-alone; draws that depend on a sample's variant go by variant group.  It
-runs LAPACK, matmul and ``rel_entropy`` once per stacked array.  It then
-builds every spectrum array it needs and evaluates them with one
-``eval_gauge_rows`` call per canonical gauge and width.  Per matrix, per
-row and per entry these give the same bits as one call per sample; powers
-are taken on arrays with positive strides only (see ``_desc``).  ``lemma54``,
-``roundtrip`` and ``mazur_entropy`` draw their block the same way but then
-solve sample by sample, because their solvers take one matrix at a time;
+Protocol: a suite is one function ``suite(cfg, n, idx, rngs) -> _Cases``
+that evaluates a block of samples, the consecutive indices ``idx`` at
+dimension n, with one generator per sample in ``rngs``.  The runner
+(``_block``) owns what every suite shares.  It keys each generator by
+``(seed, suite name, n, index)`` and never by the block, so neither the
+block size nor the number of threads can change what a sample is.  It turns
+a floating-point error or a failed LAPACK call into
+:class:`NumericalFailure`.  ``_Cases.case`` puts ``dim={n} i={index}`` in
+front of each label and ``dim``, ``index`` in front of each payload, so a
+suite describes a case by its label tail and its own fields only.
+
+Blocks: the samples of each dimension are cut into blocks of at most
+``_BLOCK_SAMPLES`` indices, and a worker evaluates one block.  A suite draws
+the whole block through the stacked samplers of ``sampling``, which give
+every generator the calls it would get alone; draws that depend on a
+sample's variant go by variant group.  It runs LAPACK, matmul and
+``rel_entropy`` once per stacked array.  It then builds every spectrum
+array it needs and evaluates them with one ``eval_gauge_rows`` call per
+canonical gauge and width.  Per matrix, per row and per entry these give
+the same bits as one call per sample; powers are taken on arrays with
+positive strides only (see ``_desc``).  ``lemma54``, ``roundtrip`` and
+``mazur_entropy`` draw their block the same way but then solve sample by
+sample (``_per_sample``), because their solvers take one matrix at a time;
 they solve once per canonical gauge (or exponent), and each sampled state
 is validated and diagonalised once by ``check_state``, whose result every
 solve of that state takes in place of the matrix.  Blocks are merged in
@@ -134,11 +142,6 @@ def _psd_log(m: np.ndarray) -> np.ndarray:
     return (w * np.log(np.clip(lam, floor, None))[..., None, :]) @ _adj(w)
 
 
-def _rngs(cfg: SuiteConfig, suite: str, n: int, indices: range) -> list:
-    """The generators of a block, one per sample, each keyed by the sample alone."""
-    return [sampling.make_rng(cfg.seed, suite, n, i) for i in indices]
-
-
 def _pick(rngs: list, rows: np.ndarray) -> list:
     """The generators of the rows where ``rows`` is true."""
     return [rng for rng, keep in zip(rngs, rows.tolist()) if keep]
@@ -191,40 +194,25 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# blocks
-#
-# Each factory takes the config and returns worker(n, indices) -> _Block for
-# the samples ``indices`` of dimension n.
-
-
-class _Block:
-    """The cases of one block, in report order.
-
-    ``lhs``/``rhs`` are 1-d arrays; ``describe(k)`` gives case k's label and
-    payload fields, and is called only for violations.  ``records`` are
-    ``(key, values)`` diagnostics whose maxima are tracked but not asserted.
-    """
-
-    __slots__ = ("lhs", "rhs", "describe", "records")
-
-    def __init__(self, lhs, rhs, describe: Callable[[int], tuple[str, dict]], records=()):
-        self.lhs = np.asarray(lhs, dtype=float)
-        self.rhs = np.asarray(rhs, dtype=float)
-        self.describe = describe
-        self.records = records
-
-
-_EMPTY = _Block((), (), None)
+# case columns
 
 
 class _Cases:
-    """Case columns of a block: one ``(rows,)`` array per case kind.
+    """The cases of one block of samples ``idx`` at dimension n: one
+    ``(rows,)`` column per case kind.
 
-    Row j is the block's j-th sample; the cases of a sample come out in the
-    order they were added, after those of the samples before it.
+    Column row j belongs to the block's sample ``rows[j]`` (every sample
+    unless ``rows`` names the kept ones); the cases of a sample come out in
+    the order their kinds were added, after those of the samples before it.
+    ``describe(row, key)`` gives the label tail and payload fields of the
+    case of kind ``key`` for the block's sample ``row``, and is called only
+    for violations.  ``records`` are ``(key, values)`` diagnostics whose
+    maxima are tracked but not asserted.
     """
 
-    def __init__(self):
+    def __init__(self, n: int, idx: range, describe: Callable[[int, object], tuple[str, dict]], rows=None):
+        self.n, self.idx, self.describe = n, idx, describe
+        self.rows = range(len(idx)) if rows is None else rows
         self.keys, self.lhs, self.rhs, self.records = [], [], [], []
 
     def add(self, key, lhs: np.ndarray, rhs: np.ndarray):
@@ -237,453 +225,367 @@ class _Cases:
         keep = den > tol
         self.records.append((name, num[keep] / den[keep]))
 
-    def block(self, describe: Callable[[int, object], tuple[str, dict]]) -> _Block:
-        keys = self.keys
-        return _Block(
-            np.array(self.lhs, dtype=float).T.ravel(),
-            np.array(self.rhs, dtype=float).T.ravel(),
-            lambda k: describe(k // len(keys), keys[k % len(keys)]),
-            self.records,
-        )
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both sides of every case, as 1-d arrays in report order."""
+        return np.array(self.lhs, dtype=float).T.ravel(), np.array(self.rhs, dtype=float).T.ravel()
+
+    def case(self, k: int) -> tuple[str, dict]:
+        """Case k's label and payload fields, led by its dimension and sample index."""
+        row = self.rows[k // len(self.keys)]
+        tail, fields = self.describe(row, self.keys[k % len(self.keys)])
+        i = self.idx[row]
+        return f"dim={self.n} i={i} {tail}", dict(dim=self.n, index=i, **fields)
 
 
-def _per_sample(cfg: SuiteConfig, suite: str, draw, body):
-    """Block worker for the suites whose solvers take one matrix at a time.
+def _per_sample(n: int, idx: range, drawn, body) -> _Cases:
+    """The cases of the suites whose solvers take one matrix at a time.
 
-    ``draw(rngs, n)`` draws the block as a tuple of stacked arrays (or
-    lists), one entry per sample; then ``body(n, i, *row) -> [(label, lhs,
-    rhs, payload fields)]`` runs sample by sample on sample i's entries.
+    ``drawn`` is the block's draw as a tuple of stacked arrays (or lists),
+    one entry per sample; ``body(*row) -> [(label tail, lhs, rhs, payload
+    fields)]`` runs sample by sample on one sample's entries, and gives
+    every sample the same case kinds in the same order.
     """
-
-    def worker(n, indices):
-        drawn = draw(_rngs(cfg, suite, n, indices), n)
-        cases = [case for j, i in enumerate(indices) for case in body(n, i, *(a[j] for a in drawn))]
-        return _Block([c[1] for c in cases], [c[2] for c in cases], lambda k: (cases[k][0], cases[k][3]))
-
-    return worker
+    out = [body(*(a[j] for a in drawn)) for j in range(len(idx))]
+    cases = _Cases(n, idx, lambda j, c: (out[j][c][0], out[j][c][3]))
+    for c in range(len(out[0])):
+        cases.add(c, np.array([o[c][1] for o in out]), np.array([o[c][2] for o in out]))
+    return cases
 
 
 # ---------------------------------------------------------------------------
-# suite workers
+# suites: each gives the cases of the samples ``idx`` of dimension n, drawn
+# from ``rngs``, one generator per sample
 
 
-def _holder(cfg: SuiteConfig):
+def _holder(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
     triples = ((2.0, 2.0, 1.0), (3.0, 1.5, 1.0), (4.0, 4.0, 2.0))
+    a, b = sampling.ginibre(rngs, n), sampling.ginibre(rngs, n)
+    sa, sb, sab = _svals(a), _svals(b), _svals(a @ b)
+    spectra = {}
+    for p, q, r in triples:
+        spectra["A", p], spectra["B", q], spectra["AB", r] = sa**p, sb**q, sab**r
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "holder", n, idx)
-        a, b = sampling.ginibre(rngs, n), sampling.ginibre(rngs, n)
-        sa, sb, sab = _svals(a), _svals(b), _svals(a @ b)
-        spectra = {}
+    def describe(j, key):
+        gs, p, q, r = key
+        return f"g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})", dict(gauge=gs, p=p, q=q, r=r, A=a[j], B=b[j])
+
+    cases = _Cases(n, idx, describe)
+    for gs, _ in gauges:
+        t = table[gs]
         for p, q, r in triples:
-            spectra["A", p], spectra["B", q], spectra["AB", r] = sa**p, sb**q, sab**r
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for gs, _ in gauges:
-            t = table[gs]
-            for p, q, r in triples:
-                cases.add((gs, p, q, r), _root(t["AB", r], r), _root(t["A", p], p) * _root(t["B", q], q))
-
-        def describe(j, key):
-            gs, p, q, r = key
-            label = f"dim={n} i={idx[j]} g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})"
-            return label, dict(dim=n, index=idx[j], gauge=gs, p=p, q=q, r=r, A=a[j], B=b[j])
-
-        return cases.block(describe)
-
-    return worker
+            cases.add((gs, p, q, r), _root(t["AB", r], r), _root(t["A", p], p) * _root(t["B", q], q))
+    return cases
 
 
-def _ideal(cfg: SuiteConfig):
+def _ideal(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
-
-    def worker(n, idx):
-        rngs = _rngs(cfg, "ideal", n, idx)
-        a, b, c = (sampling.ginibre(rngs, n) for _ in range(3))
-        table = _gauge_table(gauges, {"ABC": _svals(a @ b @ c), "B": _svals(b)})
-        opa = _svals(a)[:, 0]
-        opc = _svals(c)[:, 0]
-        cases = _Cases()
-        for gs, _ in gauges:
-            cases.add(gs, table[gs]["ABC"], opa * table[gs]["B"] * opc)
-
-        def describe(j, gs):
-            return f"dim={n} i={idx[j]} g={gs}", dict(dim=n, index=idx[j], gauge=gs, A=a[j], B=b[j], C=c[j])
-
-        return cases.block(describe)
-
-    return worker
+    a, b, c = (sampling.ginibre(rngs, n) for _ in range(3))
+    table = _gauge_table(gauges, {"ABC": _svals(a @ b @ c), "B": _svals(b)})
+    opa = _svals(a)[:, 0]
+    opc = _svals(c)[:, 0]
+    cases = _Cases(n, idx, lambda j, gs: (f"g={gs}", dict(gauge=gs, A=a[j], B=b[j], C=c[j])))
+    for gs, _ in gauges:
+        cases.add(gs, table[gs]["ABC"], opa * table[gs]["B"] * opc)
+    return cases
 
 
-def _contraction_transfer(cfg: SuiteConfig):
+def _contraction_transfer(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
-
-    def worker(n, idx):
-        rngs = _rngs(cfg, "contraction_transfer", n, idx)
-        z = sampling.ginibre(rngs, n)
-        mix = sampling.ucptp_mixture(rngs, n)
-        w, weights = sampling.apply_mixture(mix, z), mix[0]
-        table = _gauge_table(gauges, {"z": _svals(z), "w": _svals(w)})
-        cases = _Cases()
-        for gs, _ in gauges:
-            cases.add(gs, table[gs]["w"], table[gs]["z"])
-
-        def describe(j, gs):
-            return f"dim={n} i={idx[j]} g={gs}", dict(dim=n, index=idx[j], gauge=gs, z=z[j], weights=list(map(float, weights[j])))
-
-        return cases.block(describe)
-
-    return worker
+    z = sampling.ginibre(rngs, n)
+    mix = sampling.ucptp_mixture(rngs, n)
+    w, weights = sampling.apply_mixture(mix, z), mix[0]
+    table = _gauge_table(gauges, {"z": _svals(z), "w": _svals(w)})
+    cases = _Cases(n, idx, lambda j, gs: (f"g={gs}", dict(gauge=gs, z=z[j], weights=list(map(float, weights[j])))))
+    for gs, _ in gauges:
+        cases.add(gs, table[gs]["w"], table[gs]["z"])
+    return cases
 
 
-def _fan_dominance(cfg: SuiteConfig):
+def _fan_dominance(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
+    sb = _svals(sampling.ginibre(rngs, n))
+    variants = np.array([int(rng.integers(3)) for rng in rngs])
+    sa = np.empty_like(sb)
+    rows = variants == 0
+    if rows.any():
+        sa[rows] = _desc(sb[rows] * np.array([rng.uniform(0.0, 1.0, size=n) for rng in _pick(rngs, rows)]))
+    rows = variants == 1
+    if rows.any():
+        # average over random permutations: doubly stochastic mixing
+        perms = np.array([[rng.permutation(n) for _ in range(3)] for rng in _pick(rngs, rows)])
+        acc = np.zeros((len(perms), n))
+        for k in range(3):
+            acc += np.take_along_axis(sb[rows], perms[:, k], axis=1)
+        sa[rows] = _desc(acc / 3.0)
+    rows = variants == 2
+    if rows.any():
+        sa[rows] = sb[rows] * np.array([float(rng.uniform(0.2, 1.0)) for rng in _pick(rngs, rows)])[:, None]
+    # defensive: partial-sum dominance must hold by construction
+    kept = np.flatnonzero(~np.any(np.cumsum(sa, axis=1) > np.cumsum(sb, axis=1) + 1e-12, axis=1))
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "fan_dominance", n, idx)
-        sb = _svals(sampling.ginibre(rngs, n))
-        variants = np.array([int(rng.integers(3)) for rng in rngs])
-        sa = np.empty_like(sb)
-        rows = variants == 0
-        if rows.any():
-            sa[rows] = _desc(sb[rows] * np.array([rng.uniform(0.0, 1.0, size=n) for rng in _pick(rngs, rows)]))
-        rows = variants == 1
-        if rows.any():
-            # average over random permutations: doubly stochastic mixing
-            perms = np.array([[rng.permutation(n) for _ in range(3)] for rng in _pick(rngs, rows)])
-            acc = np.zeros((len(perms), n))
-            for k in range(3):
-                acc += np.take_along_axis(sb[rows], perms[:, k], axis=1)
-            sa[rows] = _desc(acc / 3.0)
-        rows = variants == 2
-        if rows.any():
-            sa[rows] = sb[rows] * np.array([float(rng.uniform(0.2, 1.0)) for rng in _pick(rngs, rows)])[:, None]
-        # defensive: partial-sum dominance must hold by construction
-        kept = np.flatnonzero(~np.any(np.cumsum(sa, axis=1) > np.cumsum(sb, axis=1) + 1e-12, axis=1))
-        if not kept.size:
-            return _EMPTY
+    def describe(j, gs):
+        variant = int(variants[j])
+        return f"g={gs} variant={variant}", dict(gauge=gs, variant=variant, sa=list(map(float, sa[j])), sb=list(map(float, sb[j])))
+
+    cases = _Cases(n, idx, describe, rows=kept)
+    if kept.size:
         table = _gauge_table(gauges, {"a": sa[kept], "b": sb[kept]})
-        cases = _Cases()
         for gs, _ in gauges:
             cases.add(gs, table[gs]["a"], table[gs]["b"])
-
-        def describe(j, gs):
-            k = kept[j]
-            i, variant = idx[k], int(variants[k])
-            payload = dict(dim=n, index=i, gauge=gs, variant=variant, sa=list(map(float, sa[k])), sb=list(map(float, sb[k])))
-            return f"dim={n} i={i} g={gs} variant={variant}", payload
-
-        return cases.block(describe)
-
-    return worker
+    return cases
 
 
-def _lemma41(cfg: SuiteConfig):
+def _lemma41(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
+    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
+    lx, wx = _eigh_clip(x)
+    ly, wy = _eigh_clip(y)
+    sdiff = _habs(x - y)
+    spectra = {}
+    for p in cfg.p_grid:
+        spectra["diff", p] = sdiff**p
+        spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "lemma41", n, idx)
-        x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-        lx, wx = _eigh_clip(x)
-        ly, wy = _eigh_clip(y)
-        sdiff = _habs(x - y)
-        spectra = {}
-        for p in cfg.p_grid:
-            spectra["diff", p] = sdiff**p
-            spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for p in cfg.p_grid:
-            for gs, _ in gauges:
-                cases.add((gs, p), table[gs]["diff", p], table[gs]["pow", p])
+    def describe(j, key):
+        gs, p = key
+        return f"g={gs} p={_fmt(p)}", dict(gauge=gs, p=p, x=x[j], y=y[j])
 
-        def describe(j, key):
-            gs, p = key
-            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)}", dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], y=y[j])
-
-        return cases.block(describe)
-
-    return worker
+    cases = _Cases(n, idx, describe)
+    for p in cfg.p_grid:
+        for gs, _ in gauges:
+            cases.add((gs, p), table[gs]["diff", p], table[gs]["pow", p])
+    return cases
 
 
-def _lemma42(cfg: SuiteConfig):
+def _lemma42(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
     thetas = (0.25, 0.5, 0.75, 1.0)
+    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
+    lx, wx = _eigh_clip(x)
+    ly, wy = _eigh_clip(y)
+    desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
+    spectra = {}
+    for theta in thetas:
+        q = 1.0 + theta
+        spectra["pow", q] = _habs(_power(lx, wx, q) - _power(ly, wy, q))
+        spectra.update({(name, q): d**q for name, d in desc.items()})
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "lemma42", n, idx)
-        x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-        lx, wx = _eigh_clip(x)
-        ly, wy = _eigh_clip(y)
-        desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
-        spectra = {}
-        for theta in thetas:
-            q = 1.0 + theta
-            spectra["pow", q] = _habs(_power(lx, wx, q) - _power(ly, wy, q))
-            spectra.update({(name, q): d**q for name, d in desc.items()})
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for theta in thetas:
-            q = 1.0 + theta
-            for gs, _ in gauges:
-                t = table[gs]
-                nmax = np.maximum(_root(t["x", q], q), _root(t["y", q], q))
-                cases.add((gs, theta), t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
+    def describe(j, key):
+        gs, theta = key
+        return f"g={gs} theta={theta}", dict(gauge=gs, theta=theta, x=x[j], y=y[j])
 
-        def describe(j, key):
-            gs, theta = key
-            return f"dim={n} i={idx[j]} g={gs} theta={theta}", dict(dim=n, index=idx[j], gauge=gs, theta=theta, x=x[j], y=y[j])
-
-        return cases.block(describe)
-
-    return worker
+    cases = _Cases(n, idx, describe)
+    for theta in thetas:
+        q = 1.0 + theta
+        for gs, _ in gauges:
+            t = table[gs]
+            nmax = np.maximum(_root(t["x", q], q), _root(t["y", q], q))
+            cases.add((gs, theta), t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
+    return cases
 
 
-def _cor43(cfg: SuiteConfig):
+def _cor43(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
+    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
+    lx, wx = _eigh_clip(x)
+    ly, wy = _eigh_clip(y)
+    desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
+    spectra = {}
+    for p in cfg.p_grid:
+        spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
+        spectra.update({(name, p): d**p for name, d in desc.items()})
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "cor43", n, idx)
-        x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-        lx, wx = _eigh_clip(x)
-        ly, wy = _eigh_clip(y)
-        desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
-        spectra = {}
-        for p in cfg.p_grid:
-            spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
-            spectra.update({(name, p): d**p for name, d in desc.items()})
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for p in cfg.p_grid:
-            for gs, _ in gauges:
-                t = table[gs]
-                nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
-                cases.add((gs, p), t["pow", p], 3.0 * p * _root(t["diff", p], p) * nmax ** (p - 1.0))
+    def describe(j, key):
+        gs, p = key
+        return f"g={gs} p={_fmt(p)}", dict(gauge=gs, p=p, x=x[j], y=y[j])
 
-        def describe(j, key):
-            gs, p = key
-            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)}", dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], y=y[j])
-
-        return cases.block(describe)
-
-    return worker
+    cases = _Cases(n, idx, describe)
+    for p in cfg.p_grid:
+        for gs, _ in gauges:
+            t = table[gs]
+            nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
+            cases.add((gs, p), t["pow", p], 3.0 * p * _root(t["diff", p], p) * nmax ** (p - 1.0))
+    return cases
 
 
-def _lemma44(cfg: SuiteConfig):
+def _lemma44(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
+    variants = np.array([int(rng.integers(3)) for rng in rngs])
+    # variant 2: block-diagonal x, two half-size draws per generator
+    split = _corner(n, variants)
+    x = np.zeros((len(idx), n, n), dtype=complex)
+    if split.any():
+        m, halves = n // 2, _pick(rngs, split)
+        x[split, :m, :m] = sampling.psd(halves, m)
+        x[split, m : 2 * m, m : 2 * m] = sampling.psd(halves, m)
+    if not split.all():
+        x[~split] = sampling.psd(_pick(rngs, ~split), n)
+    b = _contraction(rngs, n, variants)
+    lx, wx = _eigh_clip(x)
+    lxd = _desc(lx)
+    s1 = _svals(x @ b - b @ x)
+    spectra = {}
+    for p in cfg.p_grid:
+        xp = _power(lx, wx, p)
+        spectra["comm", p] = _svals(xp @ b - b @ xp)
+        spectra["s1", p] = s1**p
+        spectra["x", p] = lxd**p
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "lemma44", n, idx)
-        variants = np.array([int(rng.integers(3)) for rng in rngs])
-        # variant 2: block-diagonal x, two half-size draws per generator
-        split = _corner(n, variants)
-        x = np.zeros((len(idx), n, n), dtype=complex)
-        if split.any():
-            m, halves = n // 2, _pick(rngs, split)
-            x[split, :m, :m] = sampling.psd(halves, m)
-            x[split, m : 2 * m, m : 2 * m] = sampling.psd(halves, m)
-        if not split.all():
-            x[~split] = sampling.psd(_pick(rngs, ~split), n)
-        b = _contraction(rngs, n, variants)
-        lx, wx = _eigh_clip(x)
-        lxd = _desc(lx)
-        s1 = _svals(x @ b - b @ x)
-        spectra = {}
-        for p in cfg.p_grid:
-            xp = _power(lx, wx, p)
-            spectra["comm", p] = _svals(xp @ b - b @ xp)
-            spectra["s1", p] = s1**p
-            spectra["x", p] = lxd**p
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for p in cfg.p_grid:
-            for gs, _ in gauges:
-                t = table[gs]
-                conv_s1 = _root(t["s1", p], p)
-                cases.add((gs, p, "first"), conv_s1, 4.0 * 2.0 ** (1.0 / p) * t["comm", p] ** (1.0 / p))
-                cases.add((gs, p, "second"), t["comm", p], 24.0 * p * _root(t["x", p], p) ** (p - 1.0) * conv_s1)
+    def describe(j, key):
+        gs, p, part = key
+        return f"g={gs} p={_fmt(p)} {part}", dict(gauge=gs, p=p, variant=int(variants[j]), x=x[j], b=b[j])
 
-        def describe(j, key):
-            gs, p, part = key
-            payload = dict(dim=n, index=idx[j], gauge=gs, p=p, variant=int(variants[j]), x=x[j], b=b[j])
-            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)} {part}", payload
-
-        return cases.block(describe)
-
-    return worker
+    cases = _Cases(n, idx, describe)
+    for p in cfg.p_grid:
+        for gs, _ in gauges:
+            t = table[gs]
+            conv_s1 = _root(t["s1", p], p)
+            cases.add((gs, p, "first"), conv_s1, 4.0 * 2.0 ** (1.0 / p) * t["comm", p] ** (1.0 / p))
+            cases.add((gs, p, "second"), t["comm", p], 24.0 * p * _root(t["x", p], p) ** (p - 1.0) * conv_s1)
+    return cases
 
 
-def _lemma45(cfg: SuiteConfig):
+def _lemma45(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
+    x = sampling.psd(rngs, n)
+    drawn = np.array([int(rng.integers(2)) != 1 for rng in rngs])  # else y = x
+    y = x.copy()
+    if drawn.any():
+        y[drawn] = sampling.psd(_pick(rngs, drawn), n)
+    b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
+    opb = _svals(b)[:, 0]
+    lx, wx = _eigh_clip(x)
+    ly, wy = lx.copy(), wx.copy()
+    if drawn.any():  # only the drawn y need their own decomposition
+        ly[drawn], wy[drawn] = _eigh_clip(y[drawn])
+    desc = {"both": _desc(np.concatenate([lx, ly], axis=-1)), "x": _desc(lx), "y": _desc(ly)}
+    s0 = _svals(x @ b + b @ y)
+    spectra = {}
+    for p in cfg.p_grid:
+        spectra["m1", p] = _svals(_power(lx, wx, p) @ b + b @ _power(ly, wy, p))
+        spectra["s0", p] = s0**p
+        spectra.update({(name, p): d**p for name, d in desc.items()})
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "lemma45", n, idx)
-        x = sampling.psd(rngs, n)
-        drawn = np.array([int(rng.integers(2)) != 1 for rng in rngs])  # else y = x
-        y = x.copy()
-        if drawn.any():
-            y[drawn] = sampling.psd(_pick(rngs, drawn), n)
-        b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
-        opb = _svals(b)[:, 0]
-        lx, wx = _eigh_clip(x)
-        ly, wy = lx.copy(), wx.copy()
-        if drawn.any():  # only the drawn y need their own decomposition
-            ly[drawn], wy[drawn] = _eigh_clip(y[drawn])
-        desc = {"both": _desc(np.concatenate([lx, ly], axis=-1)), "x": _desc(lx), "y": _desc(ly)}
-        s0 = _svals(x @ b + b @ y)
-        spectra = {}
-        for p in cfg.p_grid:
-            spectra["m1", p] = _svals(_power(lx, wx, p) @ b + b @ _power(ly, wy, p))
-            spectra["s0", p] = s0**p
-            spectra.update({(name, p): d**p for name, d in desc.items()})
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for p in cfg.p_grid:
-            for gs, _ in gauges:
-                t = table[gs]
-                n0 = _root(t["s0", p], p)
-                lhs1 = t["m1", p]
-                cases.add((gs, p, "first"), lhs1, 3.0 * _root(t["both", p], p) ** (p - 1.0) * n0)
-                nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
-                cases.record("first_vs_max_shape", lhs1, 3.0 * nmax ** (p - 1.0) * n0, cfg.abs_tol)
-                rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * lhs1 ** (1.0 / p)
-                if p >= 3.0:
-                    cases.add((gs, p, "second"), n0, rhs2)
-                elif p > 1.0:
-                    cases.record("second_below_p3", n0, rhs2, cfg.abs_tol)
+    def describe(j, key):
+        gs, p, part = key
+        return f"g={gs} p={_fmt(p)} {part}", dict(gauge=gs, p=p, x=x[j], y=y[j], b=b[j])
 
-        def describe(j, key):
-            gs, p, part = key
-            payload = dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], y=y[j], b=b[j])
-            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)} {part}", payload
-
-        return cases.block(describe)
-
-    return worker
+    cases = _Cases(n, idx, describe)
+    for p in cfg.p_grid:
+        for gs, _ in gauges:
+            t = table[gs]
+            n0 = _root(t["s0", p], p)
+            lhs1 = t["m1", p]
+            cases.add((gs, p, "first"), lhs1, 3.0 * _root(t["both", p], p) ** (p - 1.0) * n0)
+            nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
+            cases.record("first_vs_max_shape", lhs1, 3.0 * nmax ** (p - 1.0) * n0, cfg.abs_tol)
+            rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * lhs1 ** (1.0 / p)
+            if p >= 3.0:
+                cases.add((gs, p, "second"), n0, rhs2)
+            elif p > 1.0:
+                cases.record("second_below_p3", n0, rhs2, cfg.abs_tol)
+    return cases
 
 
-def _schur(cfg: SuiteConfig):
+def _schur(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    a, b, xmat = sampling.psd(rngs, n), sampling.psd(rngs, n), sampling.ginibre(rngs, n)
+    la, wa = _eigh_clip(a)
+    lb, wb = _eigh_clip(b)
+    spectra = {"ref": _svals(a @ xmat + xmat @ b)}
+    # alpha and 1 - alpha share one sum: 1 - alpha is exact on the grid,
+    # and the two terms only trade places, which IEEE addition ignores
+    pair = {alpha: min(alpha, 1.0 - alpha) for alpha in alphas}
+    for alpha in sorted(set(pair.values())):
+        left = _power(la, wa, 1.0 - alpha) @ xmat @ _power(lb, wb, alpha)
+        right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
+        spectra[alpha] = _svals(left + right)
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "schur", n, idx)
-        a, b, xmat = sampling.psd(rngs, n), sampling.psd(rngs, n), sampling.ginibre(rngs, n)
-        la, wa = _eigh_clip(a)
-        lb, wb = _eigh_clip(b)
-        spectra = {"ref": _svals(a @ xmat + xmat @ b)}
-        # alpha and 1 - alpha share one sum: 1 - alpha is exact on the grid,
-        # and the two terms only trade places, which IEEE addition ignores
-        pair = {alpha: min(alpha, 1.0 - alpha) for alpha in alphas}
-        for alpha in sorted(set(pair.values())):
-            left = _power(la, wa, 1.0 - alpha) @ xmat @ _power(lb, wb, alpha)
-            right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
-            spectra[alpha] = _svals(left + right)
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for alpha in alphas:
-            for gs, _ in gauges:
-                cases.add((gs, alpha), table[gs][pair[alpha]], table[gs]["ref"])
+    def describe(j, key):
+        gs, alpha = key
+        return f"g={gs} alpha={alpha}", dict(gauge=gs, alpha=alpha, A=a[j], B=b[j], X=xmat[j])
 
-        def describe(j, key):
-            gs, alpha = key
-            payload = dict(dim=n, index=idx[j], gauge=gs, alpha=alpha, A=a[j], B=b[j], X=xmat[j])
-            return f"dim={n} i={idx[j]} g={gs} alpha={alpha}", payload
-
-        return cases.block(describe)
-
-    return worker
+    cases = _Cases(n, idx, describe)
+    for alpha in alphas:
+        for gs, _ in gauges:
+            cases.add((gs, alpha), table[gs][pair[alpha]], table[gs]["ref"])
+    return cases
 
 
-def _lemma47(cfg: SuiteConfig):
+def _lemma47(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
+    x = sampling.hermitian(rngs, n)
+    b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
+    e, wx = np.linalg.eigh(x)
+    eabs = _desc(np.abs(e))
+    s1 = _svals(x @ b - b @ x)
+    spectra = {}
+    for p in cfg.p_grid:
+        gp = (wx * (np.sign(e) * np.abs(e) ** p)[..., None, :]) @ _adj(wx)
+        spectra["comm", p] = _svals(gp @ b - b @ gp)
+        if p > 1.0:
+            spectra["s1", p] = s1**p
+            spectra["e", p] = eabs**p
+    table = _gauge_table(gauges, spectra)
 
-    def worker(n, idx):
-        rngs = _rngs(cfg, "lemma47", n, idx)
-        x = sampling.hermitian(rngs, n)
-        b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
-        e, wx = np.linalg.eigh(x)
-        eabs = _desc(np.abs(e))
-        s1 = _svals(x @ b - b @ x)
-        spectra = {}
-        for p in cfg.p_grid:
-            gp = (wx * (np.sign(e) * np.abs(e) ** p)[..., None, :]) @ _adj(wx)
-            spectra["comm", p] = _svals(gp @ b - b @ gp)
+    def describe(j, key):
+        gs, p = key
+        return f"g={gs} p={_fmt(p)}", dict(gauge=gs, p=p, x=x[j], b=b[j])
+
+    cases = _Cases(n, idx, describe)
+    for p in cfg.p_grid:
+        cp = 8.0 * 2.0 ** (1.0 / p) + 2.0 ** (2.0 - 1.0 / p)
+        for gs, _ in gauges:
+            t = table[gs]
+            if p >= 3.0:
+                cases.add((gs, p), _root(t["s1", p], p), cp * t["comm", p] ** (1.0 / p))
             if p > 1.0:
-                spectra["s1", p] = s1**p
-                spectra["e", p] = eabs**p
-        table = _gauge_table(gauges, spectra)
-        cases = _Cases()
-        for p in cfg.p_grid:
-            cp = 8.0 * 2.0 ** (1.0 / p) + 2.0 ** (2.0 - 1.0 / p)
-            for gs, _ in gauges:
-                t = table[gs]
-                if p >= 3.0:
-                    cases.add((gs, p), _root(t["s1", p], p), cp * t["comm", p] ** (1.0 / p))
-                if p > 1.0:
-                    denom = _root(t["e", p], p) ** (p - 1.0) * _root(t["s1", p], p)
-                    cases.record("forward_free_constant", t["comm", p], denom, cfg.abs_tol)
-
-        def describe(j, key):
-            gs, p = key
-            return f"dim={n} i={idx[j]} g={gs} p={_fmt(p)}", dict(dim=n, index=idx[j], gauge=gs, p=p, x=x[j], b=b[j])
-
-        return cases.block(describe)
-
-    return worker
+                denom = _root(t["e", p], p) ** (p - 1.0) * _root(t["s1", p], p)
+                cases.record("forward_free_constant", t["comm", p], denom, cfg.abs_tol)
+    return cases
 
 
-def _entropy_props(cfg: SuiteConfig):
-    def worker(n, idx):
-        rngs = _rngs(cfg, "entropy_props", n, idx)
-        rho = sampling.state(rngs, n)
-        sig = sampling.psd(rngs, n)
-        sig2 = sig + sampling.psd(rngs, n)
-        c = np.array([float(rng.uniform(0.2, 5.0)) for rng in rngs])
-        lam = np.array([rng.exponential(size=3) for rng in rngs])
-        lam = lam / lam.sum(axis=1, keepdims=True)
-        thrice = [rng for rng in rngs for _ in range(3)]  # three draws per generator
-        rhos = sampling.state(thrice, n).reshape(len(idx), 3, n, n)
-        sigs = sampling.psd(thrice, n).reshape(len(idx), 3, n, n)
-        mix_r = sum(lam[:, k, None, None] * rhos[:, k] for k in range(3))
-        mix_s = sum(lam[:, k, None, None] * sigs[:, k] for k in range(3))
-        sig3 = np.stack([sig, sig2, c[:, None, None] * sig], axis=1)
-        # each rho is decomposed once for its three sigmas
-        d0, d_mono, d_scaled = rel_entropy(rho[:, None], sig3).T
-        d_mix = rel_entropy(mix_r, mix_s)
-        d_parts = rel_entropy(rhos, sigs)
-        d_sum = sum(lam[:, k] * d_parts[:, k] for k in range(3))
-        cases = _Cases()
-        cases.add("monotone", d_mono, d0)
-        cases.add("scaling", np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
-        cases.add("convexity", d_mix, d_sum)
-
-        def describe(j, part):
-            return f"dim={n} i={idx[j]} {part}", dict(dim=n, index=idx[j], rho=rho[j], sigma=sig3[j, 0], c=float(c[j]))
-
-        return cases.block(describe)
-
-    return worker
+def _entropy_props(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
+    rho = sampling.state(rngs, n)
+    sig = sampling.psd(rngs, n)
+    sig2 = sig + sampling.psd(rngs, n)
+    c = np.array([float(rng.uniform(0.2, 5.0)) for rng in rngs])
+    lam = np.array([rng.exponential(size=3) for rng in rngs])
+    lam = lam / lam.sum(axis=1, keepdims=True)
+    thrice = [rng for rng in rngs for _ in range(3)]  # three draws per generator
+    rhos = sampling.state(thrice, n).reshape(len(idx), 3, n, n)
+    sigs = sampling.psd(thrice, n).reshape(len(idx), 3, n, n)
+    mix_r = sum(lam[:, k, None, None] * rhos[:, k] for k in range(3))
+    mix_s = sum(lam[:, k, None, None] * sigs[:, k] for k in range(3))
+    sig3 = np.stack([sig, sig2, c[:, None, None] * sig], axis=1)
+    # each rho is decomposed once for its three sigmas
+    d0, d_mono, d_scaled = rel_entropy(rho[:, None], sig3).T
+    d_mix = rel_entropy(mix_r, mix_s)
+    d_parts = rel_entropy(rhos, sigs)
+    d_sum = sum(lam[:, k] * d_parts[:, k] for k in range(3))
+    cases = _Cases(n, idx, lambda j, part: (part, dict(rho=rho[j], sigma=sig3[j, 0], c=float(c[j]))))
+    cases.add("monotone", d_mono, d0)
+    cases.add("scaling", np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
+    cases.add("convexity", d_mix, d_sum)
+    return cases
 
 
-def _lemma53(cfg: SuiteConfig):
-    eps_grid = (0.5, 0.1, 0.01)
-
-    def worker(n, idx):
-        rngs = _rngs(cfg, "lemma53", n, idx)
-        a, b = sampling.psd(rngs, n), sampling.psd(rngs, n)
-        cases = _Cases()
-        for eps in eps_grid:
-            logs = _psd_log(np.stack([a + eps * b, b + eps * a]))
-            cases.add(eps, _habs(logs[0] - logs[1])[:, 0], np.full(len(idx), -math.log(eps)))
-
-        def describe(j, eps):
-            return f"dim={n} i={idx[j]} eps={eps}", dict(dim=n, index=idx[j], eps=eps, A=a[j], B=b[j])
-
-        return cases.block(describe)
-
-    return worker
+def _lemma53(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
+    a, b = sampling.psd(rngs, n), sampling.psd(rngs, n)
+    cases = _Cases(n, idx, lambda j, eps: (f"eps={eps}", dict(eps=eps, A=a[j], B=b[j])))
+    for eps in (0.5, 0.1, 0.01):
+        logs = _psd_log(np.stack([a + eps * b, b + eps * a]))
+        cases.add(eps, _habs(logs[0] - logs[1])[:, 0], np.full(len(idx), -math.log(eps)))
+    return cases
 
 
 def _smooth_convex_gauges(cfg: SuiteConfig):
@@ -701,13 +603,10 @@ def _by_canonical(gauges, solve):
         yield gs, solved[c]
 
 
-def _lemma54(cfg: SuiteConfig):
+def _lemma54(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = _smooth_convex_gauges(cfg)
 
-    def draw(rngs, n):
-        return sampling.state(rngs, n), sampling.state(rngs, n), [float(rng.uniform(0.0, 0.5)) for rng in rngs]
-
-    def body(n, i, rho1, other, t):
+    def body(rho1, other, t):
         rho2 = (1.0 - t) * rho1 + t * other
         dist = _l1_herm(rho1 - rho2)
         lhs = 1.0 - math.sqrt(dist)
@@ -718,28 +617,16 @@ def _lemma54(cfg: SuiteConfig):
             f2 = entropy_min_mat(g, st2).minimizer
             return eval_gauge(g, _desc(np.clip(np.linalg.eigvalsh(0.5 * (f1 + f2)), 0.0, None)))
 
-        return [
-            (f"dim={n} i={i} g={gs}", lhs, rhs, dict(dim=n, index=i, gauge=gs, rho1=rho1, rho2=rho2, dist=dist))
-            for gs, rhs in _by_canonical(gauges, solve)
-        ]
+        return [(f"g={gs}", lhs, rhs, dict(gauge=gs, rho1=rho1, rho2=rho2, dist=dist)) for gs, rhs in _by_canonical(gauges, solve)]
 
-    return _per_sample(cfg, "lemma54", draw, body)
+    drawn = sampling.state(rngs, n), sampling.state(rngs, n), [float(rng.uniform(0.0, 0.5)) for rng in rngs]
+    return _per_sample(n, idx, drawn, body)
 
 
-def _roundtrip(cfg: SuiteConfig):
+def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = _smooth_convex_gauges(cfg)
 
-    def draw(rngs, n):
-        rho = sampling.state(rngs, n)
-        # spectra kept away from zero: the map-then-minimize direction feeds
-        # eigenvalues through a p-th-power-like compression, so spectral
-        # ratios must stay above the eigensolver noise floor
-        spectrum = [_desc(rng.uniform(0.05, 1.0, size=n)) for rng in rngs]
-        frame, u2, v2 = sampling.unitary(rngs, n), sampling.unitary(rngs, n), sampling.unitary(rngs, n)
-        tvals = [rng.uniform(0.05, 1.0, size=n) for rng in rngs]
-        return rho, spectrum, frame, u2, v2, tvals, sampling.unitary(rngs, n), sampling.unitary(rngs, n)
-
-    def body(n, i, rho, spectrum, frame, u2, v2, tvals, u3, v3):
+    def body(rho, spectrum, frame, u2, v2, tvals, u3, v3):
         tvals = tvals / tvals.sum()
         general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
         st = check_state(rho)
@@ -762,29 +649,33 @@ def _roundtrip(cfg: SuiteConfig):
             )
 
         return [
-            (f"dim={n} i={i} g={gs} {part}", lhs, rhs, dict(dim=n, index=i, gauge=gs, **fields))
+            (f"g={gs} {part}", lhs, rhs, dict(gauge=gs, **fields))
             for gs, parts in _by_canonical(gauges, solve)
             for part, lhs, rhs, fields in parts
         ]
 
-    return _per_sample(cfg, "roundtrip", draw, body)
+    rho = sampling.state(rngs, n)
+    # spectra kept away from zero: the map-then-minimize direction feeds
+    # eigenvalues through a p-th-power-like compression, so spectral
+    # ratios must stay above the eigensolver noise floor
+    spectrum = [_desc(rng.uniform(0.05, 1.0, size=n)) for rng in rngs]
+    frame, u2, v2 = sampling.unitary(rngs, n), sampling.unitary(rngs, n), sampling.unitary(rngs, n)
+    tvals = [rng.uniform(0.05, 1.0, size=n) for rng in rngs]
+    drawn = rho, spectrum, frame, u2, v2, tvals, sampling.unitary(rngs, n), sampling.unitary(rngs, n)
+    return _per_sample(n, idx, drawn, body)
 
 
-def _mazur_entropy(cfg: SuiteConfig):
-    def draw(rngs, n):
-        return (sampling.state(rngs, n),)
-
-    def body(n, i, rho):
+def _mazur_entropy(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
+    def body(rho):
         st = check_state(rho)
         # mazur_inverse(rho, p) for every p, from one SVD of rho
         roots = _svd_powers(rho, [1.0 / p for p in cfg.p_grid])
-        cases = []
-        for p, root in zip(cfg.p_grid, roots):
-            f = entropy_min_mat(Lp(p), st).minimizer
-            cases.append((f"dim={n} i={i} p={_fmt(p)}", _l1_herm(f - root), _STATE_SIDE_TOL, dict(dim=n, index=i, p=p, rho=rho)))
-        return cases
+        return [
+            (f"p={_fmt(p)}", _l1_herm(entropy_min_mat(Lp(p), st).minimizer - root), _STATE_SIDE_TOL, dict(p=p, rho=rho))
+            for p, root in zip(cfg.p_grid, roots)
+        ]
 
-    return _per_sample(cfg, "mazur_entropy", draw, body)
+    return _per_sample(n, idx, (sampling.state(rngs, n),), body)
 
 
 _SUITES = {
@@ -810,7 +701,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 # the purely-inequality suites; the fixed-point and consistency suites have
 # their own acceptance scales
-CORE_SUITE_NAMES = tuple(s for s in SUITE_NAMES if s not in ("roundtrip", "mazur_entropy"))
+CORE_SUITE_NAMES = tuple(s for s, suite in _SUITES.items() if suite not in (_roundtrip, _mazur_entropy))
 
 
 def _violation(cfg: SuiteConfig, lhs: float, rhs: float, label: str, fields: dict) -> Violation:
@@ -826,19 +717,32 @@ def _violation(cfg: SuiteConfig, lhs: float, rhs: float, label: str, fields: dic
     )
 
 
+def _block(name: str, cfg: SuiteConfig, n: int, idx: range) -> _Cases:
+    """Suite ``name``'s cases for the samples ``idx`` of dimension n.
+
+    Each sample draws from its own generator, keyed by ``(seed, name, n,
+    index)`` alone.  An overflow, a division by zero, an invalid operation
+    or a failed LAPACK call in the suite is a :class:`NumericalFailure`
+    rather than a warning, an inf or NaN side, or a traceback.
+    """
+    rngs = [sampling.make_rng(cfg.seed, name, n, i) for i in idx]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _SUITES[name](cfg, n, idx, rngs)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailure(f"suite {name} dim={n}: {exc}") from exc
+
+
 def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> SuiteReport:
     """Run one registered suite; the report is independent of ``threads``."""
-    try:
-        factory = _SUITES[name]
-    except KeyError:
-        raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}") from None
-    worker = factory(cfg)
+    if name not in _SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
     count = cfg.samples_per_case
     jobs = [(n, range(lo, min(lo + _BLOCK_SAMPLES, count))) for n in cfg.dims for lo in range(0, count, _BLOCK_SAMPLES)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _merge(name, cfg, pool.map(lambda job: worker(*job), jobs))
-    return _merge(name, cfg, (worker(*job) for job in jobs))
+            return _merge(name, cfg, pool.map(lambda job: _block(name, cfg, *job), jobs))
+    return _merge(name, cfg, (_block(name, cfg, *job) for job in jobs))
 
 
 def _merge(name: str, cfg: SuiteConfig, blocks) -> SuiteReport:
@@ -854,18 +758,18 @@ def _merge(name: str, cfg: SuiteConfig, blocks) -> SuiteReport:
     violations = []
     recorded: dict[str, float] = {}
     for block in blocks:
-        lhs, rhs = block.lhs, block.rhs
+        lhs, rhs = block.sides()
         nan = np.isnan(lhs) | np.isnan(rhs)
         if nan.any():
             # a NaN side compares false both ways: it would pass silently
-            label, _ = block.describe(int(np.flatnonzero(nan)[0]))
+            label, _ = block.case(int(np.flatnonzero(nan)[0]))
             raise NumericalFailure(f"suite {name}: case {label!r} evaluated to NaN")
         cases_run += lhs.size
         ok = np.isfinite(lhs) & np.isfinite(rhs) & (rhs > cfg.abs_tol)
         if ok.any():
             worst = max(worst, float((lhs[ok] / rhs[ok]).max()))
         for k in np.flatnonzero(lhs > rhs * (1.0 + cfg.rel_tol) + cfg.abs_tol).tolist():
-            violations.append(_violation(cfg, float(lhs[k]), float(rhs[k]), *block.describe(k)))
+            violations.append(_violation(cfg, float(lhs[k]), float(rhs[k]), *block.case(k)))
         for key, values in block.records:
             values = values[np.isfinite(values)]
             if values.size:

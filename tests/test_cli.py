@@ -95,6 +95,7 @@ def test_depth_one_dual_conv_inside_a_convexification_is_accepted(mat_file, caps
 
 def test_norm_missing_file(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "nope.json"), "--gauge", "lp:2"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read matrix file")
 
 
 def test_norm_malformed_matrix(tmp_path, capsys):
@@ -555,14 +556,17 @@ def test_cli_runs_as_a_process(tmp_path):
 
 
 def test_power_overflow_exits_3_without_a_warning(tmp_path):
-    # a power map whose singular values overflow is a numerical failure,
-    # reported as such before anything is written, and numpy stays silent
+    # a power map whose singular values overflow, or a suite whose powers
+    # do, is a numerical failure, reported as such before any artifact is
+    # written, and numpy stays silent
     env = _process_env()
     write_matrix(tmp_path / "big.json", np.full((2, 2), 1e308))
+    (tmp_path / "c.json").write_text(json.dumps({"dims": [2, 16], "samples_per_case": 3, "p_grid": [1, 800]}))
     cli_argv = [sys.executable, "-m", "spectral_mazur"]
     for argv in (
         ["map", "mazur", "big.json", "--gauge", "lp:1", "--p", "3", "--out", "out.json"],
         ["modulus", "Gp", "--gauge", "lp:1", "--p", "1e308", "--dims", "2", "--samples", "2", "--out", "prof"],
+        ["verify", "lemma45", "--config", "c.json"],
     ):
         run = subprocess.run([*cli_argv, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert run.returncode == 3, (argv, run.stderr)

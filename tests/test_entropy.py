@@ -822,7 +822,7 @@ def test_a_suite_sample_diagonalises_each_sampled_state_once(monkeypatch, suite)
     smooth = {suites_mod._canonical_form(g) for _, g in cfg.parsed_gauges() if g.smooth}
     assert len(smooth) > 1 and len(cfg.p_grid) > 1  # several solves per state
     calls = _LinalgCalls(monkeypatch)
-    suites_mod._SUITES[suite](cfg)(4, range(1))
+    suites_mod._block(suite, cfg, 4, range(1))
     for rho in _sampled_states(suite, cfg.seed, 4, 0):
         assert sum(np.array_equal(a, 0.5 * (rho + rho.conj().T)) for a in calls.args["eigh"]) == 1
 
@@ -839,7 +839,7 @@ def test_a_block_decomposes_no_input_twice(monkeypatch, suite):
     # once per canonical gauge
     cfg = SuiteConfig(seed=1, dims=(4,), samples_per_case=3)
     calls = _LinalgCalls(monkeypatch)
-    suites_mod._SUITES[suite](cfg)(4, range(3))
+    suites_mod._block(suite, cfg, 4, range(3))
     for name, args in calls.args.items():
         seen = [a.tobytes() for a in args]
         assert len(set(seen)) == len(seen), name

@@ -27,7 +27,7 @@ from spectral_mazur import (
     trace_norm,
     write_matrix,
 )
-from spectral_mazur.errors import MatrixFormatError, NotPositive, NotSmooth, ZeroMatrix
+from spectral_mazur.errors import ConfigError, MatrixFormatError, NotPositive, NotSmooth, ZeroMatrix
 
 GAUGES = ("lp:1", "lp:1.5", "lp:2", "lp:4", "lp:inf", "kyfan:2", "conv:2:lp:1", "dual:lp:3")
 
@@ -239,6 +239,11 @@ def test_matrix_file_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     write_matrix(path, a)
     assert np.array_equal(read_matrix(path), a)
+
+
+def test_read_matrix_refuses_a_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read matrix file"):
+        read_matrix(tmp_path / "missing.json")
 
 
 def test_read_matrix_rejects_invalid_utf8(tmp_path):

@@ -679,11 +679,12 @@ def test_every_case_equals_the_reference_case(name):
     # the report keeps only the worst ratio of passing cases, so compare
     # each case's label and both sides bit for bit
     cfg = (ENTROPY_CONFIGS if name in ENTROPY_REFERENCE else CONFIGS)[2, 1e-10]
-    reference, blocks = {**REFERENCE, **ENTROPY_REFERENCE}[name](cfg), suites_mod._SUITES[name](cfg)
+    reference = {**REFERENCE, **ENTROPY_REFERENCE}[name](cfg)
     for n in DIMS:
         want = [c[:3] for i in range(cfg.samples_per_case) for c in reference(n, i)[0]]
-        block = blocks(n, range(cfg.samples_per_case))
-        got = [(block.describe(k)[0], lhs, rhs) for k, (lhs, rhs) in enumerate(zip(block.lhs.tolist(), block.rhs.tolist()))]
+        block = suites_mod._block(name, cfg, n, range(cfg.samples_per_case))
+        lhs, rhs = block.sides()
+        got = [(block.case(k)[0], *sides) for k, sides in enumerate(zip(lhs.tolist(), rhs.tolist()))]
         assert got == want, n
 
 
@@ -691,14 +692,14 @@ def _case_bytes(name, cfg, size):
     """Every case's ``lhs`` and ``rhs`` and every recorded value, as bytes,
     from blocks of at most ``size`` samples cut as ``run_inequality_suite``
     cuts them."""
-    worker = suites_mod._SUITES[name](cfg)
     count = cfg.samples_per_case
     lhs, rhs, records = [], [], {}
     for n in cfg.dims:
         for lo in range(0, count, size):
-            block = worker(n, range(lo, min(lo + size, count)))
-            lhs.append(block.lhs)
-            rhs.append(block.rhs)
+            block = suites_mod._block(name, cfg, n, range(lo, min(lo + size, count)))
+            sides = block.sides()
+            lhs.append(sides[0])
+            rhs.append(sides[1])
             # record k of a block holds its samples' values of one (key, case kind)
             for k, (key, values) in enumerate(block.records):
                 records.setdefault((n, k, key), []).append(values)
@@ -776,5 +777,5 @@ def test_a_block_calls_eval_gauge_rows_once_per_canonical_gauge_and_width(monkey
     canonical = {suites_mod._canonical_form(parse_gauge(s)) for s in cfg.gauges}
     assert len(canonical) < len(cfg.gauges)  # lp:2 and conv:2:lp:1 share one
     widths = 2 if name == "lemma45" else 1  # lemma45 also gauges x's and y's spectra joined, width 2n
-    suites_mod._SUITES[name](cfg)(5, range(12))
+    suites_mod._block(name, cfg, 5, range(12))
     assert len(calls) == len(set(calls)) <= len(canonical) * widths

@@ -1,6 +1,7 @@
 """Verification harness: suite runner, determinism, sampling, modulus."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ def test_config_from_json_rejects_unknown_keys():
 def test_config_json_roundtrip():
     cfg = SuiteConfig(seed=9, dims=(3, 5), samples_per_case=11)
     assert SuiteConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_parsed_gauges_are_parsed_once_and_outside_the_fields():
+    cfg = SuiteConfig(seed=9, dims=(3, 5), samples_per_case=11)
+    parsed = cfg.parsed_gauges()
+    assert cfg.parsed_gauges() is parsed
+    assert parsed == tuple((s, parse_gauge(s)) for s in cfg.gauges)
+    # a twin whose kept gauges differ is still equal, hashes and serializes alike
+    twin = SuiteConfig(seed=9, dims=(3, 5), samples_per_case=11)
+    object.__setattr__(twin, "_parsed_gauges", ())
+    assert twin == cfg and hash(twin) == hash(cfg)
+    assert dumps_json(twin.to_json()) == dumps_json(cfg.to_json())
+    assert list(cfg.to_json()) == [f.name for f in dataclasses.fields(cfg)]
 
 
 def _artifacts():
@@ -278,19 +292,34 @@ def test_non_finite_spectrum_stops_the_run(monkeypatch, tmp_path, capsys, name, 
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [800.0, 1e308])
+@pytest.mark.parametrize("name", ["lemma41", "cor43", "lemma44", "lemma45", "lemma47"])
+def test_a_large_p_grid_entry_is_a_numerical_failure(tmp_path, capsys, name, p):
+    # the powers overflow, and LAPACK fails on what they leave: a numerical
+    # failure naming the suite and dimension, not a warning or a traceback
+    cfg = {"dims": [2, 16], "samples_per_case": 3, "p_grid": [1.0, p]}
+    with pytest.raises(NumericalFailure, match=f"suite {name} dim="):
+        run_inequality_suite(name, SuiteConfig.from_json(cfg))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", name, "--config", str(path), "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: suite {name} dim=") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
 def test_nan_case_stops_the_run(monkeypatch, tmp_path, capsys, side):
     # a NaN side compares false both ways, so the case would pass silently;
     # lemma53 stands in for every suite whose body does not go through
     # eval_gauge_rows and its finiteness check
-    def factory(cfg):
-        def body(n, i):
-            values = {"lhs": 0.5, "rhs": 1.0, side: float("nan")}
-            return [(f"dim={n} i={i} poisoned", values["lhs"], values["rhs"], dict(dim=n, index=i))]
+    def body():
+        values = {"lhs": 0.5, "rhs": 1.0, side: float("nan")}
+        return [("poisoned", values["lhs"], values["rhs"], {})]
 
-        return suites_mod._per_sample(cfg, "lemma53", lambda rngs, n: (), body)
+    def suite(cfg, n, idx, rngs):
+        return suites_mod._per_sample(n, idx, (), body)
 
-    monkeypatch.setitem(suites_mod._SUITES, "lemma53", factory)
+    monkeypatch.setitem(suites_mod._SUITES, "lemma53", suite)
     with pytest.raises(NumericalFailure, match="dim=2 i=0 poisoned"):
         run_inequality_suite("lemma53", SMALL)
     out = tmp_path / "reports"
