@@ -53,17 +53,15 @@ from .matnorm import (
     duality_map_mat,
     eigh_psd,
     matrix_from_json,
-    matrix_power,
     matrix_to_json,
     norm_ui,
-    op_norm,
     polar,
     read_matrix,
     singular_values,
     trace_norm,
     write_matrix,
 )
-from .mazur import mazur_forward, mazur_inverse, tilde_pair, tilde_selfadjoint
+from .mazur import mazur_forward, mazur_inverse
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -95,12 +93,10 @@ __all__ = [
     # matrix norms
     "singular_values",
     "norm_ui",
-    "op_norm",
     "trace_norm",
     "polar",
     "PolarParts",
     "eigh_psd",
-    "matrix_power",
     "duality_map_mat",
     "matrix_to_json",
     "matrix_from_json",
@@ -109,8 +105,6 @@ __all__ = [
     # sphere maps
     "mazur_forward",
     "mazur_inverse",
-    "tilde_selfadjoint",
-    "tilde_pair",
     "check_state",
     "rel_entropy",
     "entropy_min_seq",

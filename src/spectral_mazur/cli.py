@@ -39,7 +39,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .gauge import parse_gauge
-from .matnorm import _eigh_psd, matrix_to_json, norm_ui, read_matrix
+from .matnorm import _read_json, eigh_psd, matrix_to_json, norm_ui, read_matrix
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -89,16 +89,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"--dims expects a comma-separated list of integers, got {text!r}") from None
-
-
-def _read_json(path: str, what: str):
-    """The JSON value in ``path``; an unreadable or undecodable file is a
-    :class:`ConfigError`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _make_dir(path) -> None:
@@ -219,7 +209,7 @@ def _cmd_map(args) -> int:
         # not the profiler's FX map, which takes states only: this one also
         # takes general matrices, and its artifact carries the solver report
         try:
-            lam, _ = _eigh_psd(m)
+            lam, _ = eigh_psd(m)
         except NotPositive:
             result = entropy_min_general(g, m)
         else:

@@ -98,9 +98,5 @@ class NotUnitTraceNorm(PreconditionError):
     name = "unit-trace-norm"
 
 
-class DimensionMismatch(PreconditionError):
-    name = "matching-dimensions"
-
-
 class DimensionTooLarge(PreconditionError):
     name = "dimension-bound"

@@ -58,17 +58,15 @@ class Gauge:
     def smooth(self) -> bool:
         """True when the norm is Gateaux-differentiable away from 0.
 
-        In this grammar that is the same as ``strictly_convex`` (the unit
-        sphere contains no line segment), and both hold exactly when the
-        canonical form is ``Lp(p)`` with ``1 < p < inf``: for n > 1 the Ky Fan
-        norms, their convexifications and the duals of those have kinks
-        where the active top-k set changes, and flat faces along which the
-        coordinates outside it move freely.
+        In this grammar a gauge is smooth exactly when it is strictly convex
+        (its unit sphere contains no line segment), and both hold exactly
+        when the canonical form is ``Lp(p)`` with ``1 < p < inf``: for n > 1
+        the Ky Fan norms, their convexifications and the duals of those have
+        kinks where the active top-k set changes, and flat faces along which
+        the coordinates outside it move freely.
         """
         c = self._canon
         return isinstance(c, Lp) and 1.0 < c.p < math.inf
-
-    strictly_convex = smooth
 
     def __str__(self) -> str:
         return format_gauge(self)

@@ -3,9 +3,10 @@
 A gauge from :mod:`spectral_mazur.gauge` applied to the singular value vector
 of a complex square matrix defines a unitarily invariant norm.  This module
 hosts the spectral machinery those norms need: singular values, the polar
-decomposition with a partial-isometry convention, real powers of positive
-semidefinite matrices, and the matrix duality map obtained by conjugating the
-sequence-level map into the eigenbasis of ``|A|``.
+decomposition with a partial-isometry convention, the clamped
+eigendecomposition of positive semidefinite matrices, and the matrix duality
+map obtained by conjugating the sequence-level map into the eigenbasis of
+``|A|``.
 
 Matrices are plain ``numpy`` arrays of shape ``(n, n)`` and dtype complex.
 The JSON wire format is ``{"dim": n, "data": [[[re, im], ...], ...]}`` with
@@ -34,10 +35,8 @@ __all__ = [
     "as_matrix",
     "singular_values",
     "norm_ui",
-    "op_norm",
     "trace_norm",
     "polar",
-    "matrix_power",
     "duality_map_mat",
     "eigh_psd",
     "matrix_to_json",
@@ -90,11 +89,6 @@ def singular_values(a) -> np.ndarray:
 def norm_ui(g: Gauge, a) -> float:
     """Unitarily invariant norm: the gauge evaluated on the singular values."""
     return eval_gauge(g, singular_values(a))
-
-
-def op_norm(a) -> float:
-    """Largest singular value."""
-    return float(singular_values(a)[0])
 
 
 def trace_norm(a) -> float:
@@ -168,19 +162,6 @@ def _eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(lam, 0.0, None), w
 
 
-def matrix_power(a, p: float) -> np.ndarray:
-    """Real power ``a^p`` of a PSD matrix, computed spectrally (``p > 0``).
-
-    The convention ``0^p = 0`` keeps powers of singular matrices PSD; the
-    clamp tolerance of :func:`eigh_psd` decides what counts as zero.
-    """
-    if not p > 0:
-        raise NotPositive(f"matrix power needs p > 0, got {p}")
-    lam, w = eigh_psd(a)
-    powered = (w * lam**float(p)) @ w.conj().T
-    return 0.5 * (powered + powered.conj().T)
-
-
 def duality_map_mat(g: Gauge, a) -> np.ndarray:
     """Matrix duality map for a smooth gauge at ``a != 0``.
 
@@ -252,7 +233,10 @@ def matrix_from_json(obj) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise MatrixFormatError(f"entry ({i},{j}) is not an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise MatrixFormatError(f"entry ({i},{j}) is outside float range") from None
     return as_matrix(out)
 
 
@@ -262,15 +246,21 @@ def write_matrix(path, a) -> None:
         fh.write("\n")
 
 
-def read_matrix(path) -> np.ndarray:
-    """The matrix in JSON file ``path``.  An unreadable file is a
-    :class:`ConfigError`, and a file that is not UTF-8 JSON a
-    :class:`MatrixFormatError`."""
+def _read_json(path, what: str, malformed=ConfigError):
+    """The JSON value in file ``path``.  An unreadable file is a
+    :class:`ConfigError`; one that is not UTF-8 JSON, or that nests or
+    spells a number beyond what the decoder takes, is a ``malformed``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read matrix file {str(path)!r}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MatrixFormatError(f"cannot read matrix file {str(path)!r}: {exc}") from exc
-    return matrix_from_json(obj)
+        raise ConfigError(f"cannot read {what} file {str(path)!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise malformed(f"cannot read {what} file {str(path)!r}: {exc}") from exc
+
+
+def read_matrix(path) -> np.ndarray:
+    """The matrix in JSON file ``path``.  An unreadable file is a
+    :class:`ConfigError`, and a file that is not a matrix's UTF-8 JSON a
+    :class:`MatrixFormatError`."""
+    return matrix_from_json(_read_json(path, "matrix", MatrixFormatError))

@@ -47,6 +47,15 @@ def _checked(name: str, value, types):
     return value
 
 
+def _float(value) -> float:
+    """``value`` as a float; an integer beyond float range becomes the
+    infinity of its sign, which the finiteness checks refuse."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def dumps_json(obj) -> str:
     """Canonical JSON used for every artifact the package writes."""
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=2) + "\n"
@@ -84,7 +93,7 @@ class SuiteConfig:
         for name, types in (("dims", int), ("gauges", str), ("p_grid", (int, float))):
             entries = _checked(name, getattr(self, name), (list, tuple))
             object.__setattr__(self, name, tuple(_checked(f"{name} entry", x, types) for x in entries))
-        object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
+        object.__setattr__(self, "p_grid", tuple(map(_float, self.p_grid)))
         # the sampler keys on one 32-bit word of the seed, so a wider seed
         # would draw the samples of another while its report named its own
         if not 0 <= self.seed < 2**32:
@@ -96,8 +105,10 @@ class SuiteConfig:
                 raise ConfigError(f"dims entries must be >= 1, got {d}")
             if d > MAX_DIM:
                 raise DimensionTooLarge(f"dims entries must be <= {MAX_DIM}, got {d}")
-        if self.samples_per_case < 1:
-            raise ConfigError("samples_per_case must be >= 1")
+        # likewise one word of the sample index: samples i and i + 2**32
+        # would draw the same stream
+        if not 1 <= self.samples_per_case <= 2**32:
+            raise ConfigError("samples_per_case must satisfy 1 <= samples_per_case <= 2**32")
         if not self.gauges:
             raise ConfigError("gauges must be nonempty")
         # a gauge that cannot be read is refused before any suite runs; the
@@ -108,7 +119,7 @@ class SuiteConfig:
         for p in self.p_grid:
             if not 1.0 <= p < math.inf:
                 raise ConfigError(f"p_grid entries must be finite and >= 1, got {p}")
-        if not (0.0 <= self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
+        if not (0.0 <= _float(self.rel_tol) < math.inf and 0.0 <= _float(self.abs_tol) < math.inf):
             raise ConfigError("tolerances must be finite and nonnegative")
 
     def parsed_gauges(self) -> tuple[tuple[str, Gauge], ...]:

@@ -191,9 +191,9 @@ def test_map_projects_a_subnormal_matrix(tmp_path, monkeypatch, kind):
         seen.append(dom)
         return dom, img, lambda m: seen.append(m) or apply(m), bound
 
-    eigh_psd = cli._eigh_psd
+    eigh_psd = cli.eigh_psd
     monkeypatch.setattr(cli, "_sphere_map", spy)
-    monkeypatch.setattr(cli, "_eigh_psd", lambda m: seen.append(m) or eigh_psd(m))
+    monkeypatch.setattr(cli, "eigh_psd", lambda m: seen.append(m) or eigh_psd(m))
     p = ["--p", "3"] if kind.startswith("mazur") else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -299,6 +299,11 @@ def test_verify_bad_config_file(tmp_path):
         {"dims": [2.7]},
         {"rel_tol": 1e400},
         {"p_grid": [1e400]},
+        # exact integers beyond float range pass a comparison with inf
+        {"rel_tol": 10**400},
+        {"abs_tol": 10**400},
+        {"p_grid": [10**400]},
+        {"p_grid": [-(10**400)]},
     ],
 )
 def test_verify_bad_config_values(tmp_path, capsys, config):
@@ -306,6 +311,35 @@ def test_verify_bad_config_values(tmp_path, capsys, config):
     cfg_file.write_text(json.dumps(config))
     assert main(["verify", "ideal", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"seed": ' + "1" * 4301 + "}"], ids=["nested", "long-int"])
+def test_verify_config_beyond_the_decoder(tmp_path, capsys, text):
+    # not JSON syntax errors, yet refused before any suite runs
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    assert main(["verify", "ideal", "--dims", "2", "--samples", "1", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        '{"dim": 1, "data": [[[' + "1" * 4301 + ", 0]]]}",
+        '{"dim": 1, "data": [[[' + "1" * 401 + ", 0]]]}",
+    ],
+    ids=["nested", "long-entry", "huge-entry"],
+)
+def test_matrix_beyond_the_decoder_or_float_range(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    for argv in (["norm", str(path), "--gauge", "lp:2"], ["map", "mazur", str(path), "--gauge", "lp:2", "--p", "2"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_verify_env_seed_and_flag_precedence(tmp_path, monkeypatch):
@@ -589,6 +623,16 @@ def test_seed_outside_one_word_is_a_usage_error(tmp_path, capsys, seed):
     cfg_file.write_text(json.dumps({"seed": int(seed)}))
     assert main(["verify", "holder", "--config", str(cfg_file), "--out", str(tmp_path / "v"), *TS]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("samples", ["4294967297", "99999999999999999999999"])
+def test_samples_beyond_one_word_is_a_usage_error(tmp_path, capsys, samples):
+    # each sample index is one 32-bit word of its stream key, so a larger
+    # count would repeat streams; it is refused before any job list is built
+    argv = ["verify", "holder", "--dims", "2", "--samples", samples, "--out", str(tmp_path / "v"), *TS]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: samples_per_case must satisfy 1 <= samples_per_case <= 2**32")
+    assert not (tmp_path / "v").exists()
 
 
 def test_runs_without_scipy(tmp_path):

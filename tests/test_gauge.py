@@ -317,7 +317,6 @@ def test_canonical_form_computed_once(monkeypatch):
     for s in NESTED:
         g = parse_gauge(s)
         for _ in range(100):
-            assert g.smooth == g.strictly_convex
             if g.smooth:
                 duality_map_seq(g, v)
             eval_gauge(g, v)
@@ -551,30 +550,30 @@ def test_overflow_safe_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# smoothness / strict convexity flags
+# the smoothness flag
 
 
 def test_flags():
-    assert Lp(2.0).smooth and Lp(2.0).strictly_convex
-    assert Lp(1.5).smooth and Lp(1.5).strictly_convex
-    assert not Lp(1.0).smooth and not Lp(1.0).strictly_convex
-    assert not Lp(math.inf).smooth and not Lp(math.inf).strictly_convex
-    assert not KyFan(2).smooth and not KyFan(2).strictly_convex
-    # canonicalizes to lp:2, hence smooth and strictly convex
+    assert Lp(2.0).smooth
+    assert Lp(1.5).smooth
+    assert not Lp(1.0).smooth
+    assert not Lp(math.inf).smooth
+    assert not KyFan(2).smooth
+    # canonicalizes to lp:2, hence smooth
     g = parse_gauge("conv:2:lp:1")
-    assert g.smooth and g.strictly_convex
-    # genuinely non-lp convexification: neither property is certified
+    assert g.smooth
+    # genuinely non-lp convexification: not certified smooth
     h = parse_gauge("conv:2:kyfan:2")
-    assert not h.smooth and not h.strictly_convex
+    assert not h.smooth
     d = parse_gauge("dual:conv:2:kyfan:2")
-    assert not d.smooth and not d.strictly_convex
-    # in this grammar both flags hold exactly when the canonical form is
+    assert not d.smooth
+    # in this grammar a gauge is smooth exactly when the canonical form is
     # lp:p with 1 < p < inf
     for s in NESTED:
         g = parse_gauge(s)
         expected = _expected_canonical(s)
         lp_smooth = isinstance(expected, Lp) and 1.0 < expected.p < math.inf
-        assert g.smooth == g.strictly_convex == lp_smooth, s
+        assert g.smooth == lp_smooth, s
 
 
 # ---------------------------------------------------------------------------

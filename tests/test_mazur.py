@@ -7,16 +7,13 @@ import pytest
 
 from spectral_mazur import (
     convexify,
-    eval_gauge,
     mazur_forward,
     mazur_inverse,
     norm_ui,
     parse_gauge,
     singular_values,
-    tilde_pair,
-    tilde_selfadjoint,
 )
-from spectral_mazur.errors import DimensionMismatch, GaugeParseError, NumericalFailure
+from spectral_mazur.errors import GaugeParseError, NumericalFailure
 
 
 def _rand(rng, n):
@@ -153,38 +150,3 @@ def test_finite_powers_are_u_s_power_v():
             assert mazur_forward(a, p).tobytes() == ((u * s**p) @ vh).tobytes(), (n, p)
             assert mazur_inverse(a, p).tobytes() == ((u * s ** (1.0 / p)) @ vh).tobytes(), (n, p)
 
-
-# ---------------------------------------------------------------------------
-# self-adjoint and pair dilations
-
-
-def test_tilde_selfadjoint_spectrum():
-    rng = np.random.default_rng(7)
-    x = _rand(rng, 3)
-    t = tilde_selfadjoint(x)
-    assert t.shape == (6, 6)
-    assert np.allclose(t, t.conj().T, atol=1e-14)
-    ev = np.sort(np.abs(np.linalg.eigvalsh(t)))[::-1]
-    sv = np.repeat(singular_values(x), 2)
-    assert np.allclose(ev, sv, rtol=1e-10, atol=1e-12)
-
-
-def test_tilde_pair_commutator_reduces_to_difference():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 3))
-    y = rng.normal(size=(3, 3))
-    big, corner = tilde_pair(x, y)
-    assert big.shape == (6, 6) and corner.shape == (6, 6)
-    comm = big @ corner - corner @ big
-    sv = singular_values(comm)
-    sv_diff = singular_values(x - y)
-    assert np.allclose(sv[:3], sv_diff, rtol=1e-10, atol=1e-12)
-    assert np.allclose(sv[3:], 0.0, atol=1e-12)
-    for s in ("lp:1", "lp:2", "kyfan:2"):
-        g = parse_gauge(s)
-        assert eval_gauge(g, sv) == pytest.approx(eval_gauge(g, sv_diff), rel=1e-10), s
-
-
-def test_tilde_pair_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        tilde_pair(np.eye(2), np.eye(3))

@@ -57,6 +57,25 @@ def test_config_refuses_seeds_outside_one_word():
     assert SuiteConfig(seed=0).seed == 0 and SuiteConfig(seed=2**32 - 1).seed == 2**32 - 1
 
 
+def test_config_refuses_sample_counts_beyond_one_word():
+    # make_rng keeps the low 32 bits of the sample index too, so sample
+    # 2**32 would draw the stream of sample 0; the refusal comes before any
+    # job list is built, and no accepted huge count is ever run here
+    for samples in (2**32 + 1, 10**23):
+        with pytest.raises(ConfigError, match="samples_per_case"):
+            SuiteConfig(samples_per_case=samples)
+        with pytest.raises(ConfigError, match="samples_per_case"):
+            SuiteConfig.from_json({"samples_per_case": samples})
+    assert SuiteConfig(samples_per_case=2**32).samples_per_case == 2**32
+
+
+def test_config_keeps_accepted_values_as_given():
+    cfg = SuiteConfig.from_json({"p_grid": [1, 2.5], "rel_tol": 0, "abs_tol": 1})
+    assert dumps_json(cfg.to_json()) == dumps_json(
+        {**SuiteConfig().to_json(), "p_grid": [1.0, 2.5], "rel_tol": 0, "abs_tol": 1}
+    )
+
+
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         SuiteConfig.from_json({"seed": 1, "bogus": 2})
