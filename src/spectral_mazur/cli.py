@@ -29,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import EntropyMinReport, entropy_min_general, entropy_min_mat
+from .entropy import EntropyMinReport, check_state, entropy_min_general, entropy_min_mat
 from .errors import (
     ConfigError,
     NotPositive,
+    NotState,
     NotUnitTraceNorm,
     NumericalFailure,
     PreconditionError,
@@ -207,19 +208,20 @@ def _cmd_map(args) -> int:
     report: EntropyMinReport | None = None
     if kind == "entropy-min":
         # not the profiler's FX map, which takes states only: this one also
-        # takes general matrices, and its artifact carries the solver report
+        # takes general matrices, and its artifact carries the solver report.
+        # The probe's spectrum is the trace norm; a PSD matrix whose m / tn
+        # check_state refuses (its Hermitian check is stricter than the
+        # probe's) is mapped like any other matrix
         try:
             lam, _ = eigh_psd(m)
-        except NotPositive:
-            result = entropy_min_general(g, m)
-        else:
-            # the probe's spectrum is the trace norm; check_state still
-            # decomposes m / tn, since its Hermitian and unit-trace checks
-            # are stricter than the probe's
             tn = float(lam.sum())
             if abs(tn - 1.0) > 1e-9:
                 raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
-            report = entropy_min_mat(g, m / tn)
+            state = check_state(m / tn)
+        except (NotPositive, NotState):
+            result = entropy_min_general(g, m)
+        else:
+            report = entropy_min_mat(g, state)
             result = report.minimizer
     else:
         result = apply(m)

@@ -70,7 +70,6 @@ from .matnorm import (
     _first,
     _psd_or_polar,
     as_matrix,
-    matrix_to_json,
     polar,
 )
 
@@ -360,14 +359,6 @@ class EntropyMinReport:
     objective: float
     fixed_point_residual: float
     iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "minimizer": matrix_to_json(self.minimizer),
-            "objective": self.objective,
-            "fixed_point_residual": self.fixed_point_residual,
-            "iterations": self.iterations,
-        }
 
 
 def entropy_min_mat(g: Gauge, rho) -> EntropyMinReport:

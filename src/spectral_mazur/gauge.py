@@ -168,10 +168,14 @@ def parse_gauge(text: str) -> Gauge:
     Parsing preserves the written structure; no algebraic simplification is
     applied (so ``conv:2:lp:1`` formats back as written even though it
     evaluates like ``lp:2``).  It is canonicalised once, so shapes
-    :func:`_canonical` refuses are refused here.
+    :func:`_canonical` refuses are refused here, as is a descriptor nested
+    deeper than the recursion limit.
     """
-    g = _parse(text)
-    _canonical_form(g)
+    try:
+        g = _parse(text)
+        _canonical_form(g)
+    except RecursionError:
+        raise GaugeParseError("gauge descriptor is nested too deeply") from None
     return g
 
 

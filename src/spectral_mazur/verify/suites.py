@@ -14,8 +14,12 @@ dimension n, with one generator per sample in ``rngs``.  The runner
 block size nor the number of threads can change what a sample is.  It turns
 a floating-point error or a failed LAPACK call into
 :class:`NumericalFailure`.  ``_Cases.case`` puts ``dim={n} i={index}`` in
-front of each label and ``dim``, ``index`` in front of each payload, so a
-suite describes a case by its label tail and its own fields only.
+front of each label and ``dim``, ``index`` in front of each payload.  A
+suite keys each case kind by ``(label tail, parameters)`` and states its
+samples' payload fields once per block (``_fields``): a payload is the
+parameters, then the sample's fields.  ``fan_dominance`` (its label names a
+sample's variant) and the per-sample suites (a ``roundtrip`` payload matrix
+differs per gauge) describe their cases themselves.
 
 Blocks: the samples of each dimension are cut into blocks of at most
 ``_BLOCK_SAMPLES`` indices, and a worker evaluates one block.  A suite draws
@@ -46,7 +50,7 @@ import numpy as np
 
 from ..entropy import check_state, entropy_min_general, entropy_min_mat, norming_state, rel_entropy
 from ..errors import NumericalFailure, UnknownSuite
-from ..gauge import Lp, _canonical_form, eval_gauge, eval_gauge_rows
+from ..gauge import Lp, _canonical_form, _format_exponent, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, _adj, matrix_to_json
 from ..mazur import _svd_powers
 from . import sampling
@@ -178,19 +182,7 @@ def _contraction(rngs: list, n: int, variants) -> np.ndarray:
 
 
 def _payload(kw: dict) -> dict:
-    out = {}
-    for key, value in kw.items():
-        if isinstance(value, np.ndarray):
-            out[key] = matrix_to_json(value)
-        elif isinstance(value, (np.floating, np.integer)):
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if float(x) == int(x) else repr(float(x))
+    return {key: matrix_to_json(v) if isinstance(v, np.ndarray) else v for key, v in kw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +229,20 @@ class _Cases:
         return f"dim={self.n} i={i} {tail}", dict(dim=self.n, index=i, **fields)
 
 
+def _fields(sample_fields: Callable[[int], dict]) -> Callable[[int, tuple], tuple[str, dict]]:
+    """``describe`` for case keys ``(label tail, parameters)``: a payload is
+    the parameters, then the fields ``sample_fields(row)`` of its sample."""
+    return lambda j, key: (key[0], {**key[1], **sample_fields(j)})
+
+
 def _per_sample(n: int, idx: range, drawn, body) -> _Cases:
     """The cases of the suites whose solvers take one matrix at a time.
 
     ``drawn`` is the block's draw as a tuple of stacked arrays (or lists),
     one entry per sample; ``body(*row) -> [(label tail, lhs, rhs, payload
     fields)]`` runs sample by sample on one sample's entries, and gives
-    every sample the same case kinds in the same order.
+    every sample the same case kinds in the same order.  A case keeps the
+    payload ``body`` gave it: a ``roundtrip`` payload matrix differs per gauge.
     """
     out = [body(*(a[j] for a in drawn)) for j in range(len(idx))]
     cases = _Cases(n, idx, lambda j, c: (out[j][c][0], out[j][c][3]))
@@ -266,16 +265,12 @@ def _holder(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     for p, q, r in triples:
         spectra["A", p], spectra["B", q], spectra["AB", r] = sa**p, sb**q, sab**r
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, p, q, r = key
-        return f"g={gs} pqr=({_fmt(p)},{_fmt(q)},{_fmt(r)})", dict(gauge=gs, p=p, q=q, r=r, A=a[j], B=b[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(A=a[j], B=b[j])))
     for gs, _ in gauges:
         t = table[gs]
         for p, q, r in triples:
-            cases.add((gs, p, q, r), _root(t["AB", r], r), _root(t["A", p], p) * _root(t["B", q], q))
+            tail = f"g={gs} pqr=({','.join(map(_format_exponent, (p, q, r)))})"
+            cases.add((tail, dict(gauge=gs, p=p, q=q, r=r)), _root(t["AB", r], r), _root(t["A", p], p) * _root(t["B", q], q))
     return cases
 
 
@@ -285,9 +280,9 @@ def _ideal(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     table = _gauge_table(gauges, {"ABC": _svals(a @ b @ c), "B": _svals(b)})
     opa = _svals(a)[:, 0]
     opc = _svals(c)[:, 0]
-    cases = _Cases(n, idx, lambda j, gs: (f"g={gs}", dict(gauge=gs, A=a[j], B=b[j], C=c[j])))
+    cases = _Cases(n, idx, _fields(lambda j: dict(A=a[j], B=b[j], C=c[j])))
     for gs, _ in gauges:
-        cases.add(gs, table[gs]["ABC"], opa * table[gs]["B"] * opc)
+        cases.add((f"g={gs}", dict(gauge=gs)), table[gs]["ABC"], opa * table[gs]["B"] * opc)
     return cases
 
 
@@ -297,9 +292,9 @@ def _contraction_transfer(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _
     mix = sampling.ucptp_mixture(rngs, n)
     w, weights = sampling.apply_mixture(mix, z), mix[0]
     table = _gauge_table(gauges, {"z": _svals(z), "w": _svals(w)})
-    cases = _Cases(n, idx, lambda j, gs: (f"g={gs}", dict(gauge=gs, z=z[j], weights=list(map(float, weights[j])))))
+    cases = _Cases(n, idx, _fields(lambda j: dict(z=z[j], weights=list(map(float, weights[j])))))
     for gs, _ in gauges:
-        cases.add(gs, table[gs]["w"], table[gs]["z"])
+        cases.add((f"g={gs}", dict(gauge=gs)), table[gs]["w"], table[gs]["z"])
     return cases
 
 
@@ -325,6 +320,7 @@ def _fan_dominance(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     # defensive: partial-sum dominance must hold by construction
     kept = np.flatnonzero(~np.any(np.cumsum(sa, axis=1) > np.cumsum(sb, axis=1) + 1e-12, axis=1))
 
+    # not ``_fields``: the label names the sample's variant
     def describe(j, gs):
         variant = int(variants[j])
         return f"g={gs} variant={variant}", dict(gauge=gs, variant=variant, sa=list(map(float, sa[j])), sb=list(map(float, sb[j])))
@@ -348,15 +344,10 @@ def _lemma41(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         spectra["diff", p] = sdiff**p
         spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, p = key
-        return f"g={gs} p={_fmt(p)}", dict(gauge=gs, p=p, x=x[j], y=y[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j])))
     for p in cfg.p_grid:
         for gs, _ in gauges:
-            cases.add((gs, p), table[gs]["diff", p], table[gs]["pow", p])
+            cases.add((f"g={gs} p={_format_exponent(p)}", dict(gauge=gs, p=p)), table[gs]["diff", p], table[gs]["pow", p])
     return cases
 
 
@@ -373,18 +364,14 @@ def _lemma42(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         spectra["pow", q] = _habs(_power(lx, wx, q) - _power(ly, wy, q))
         spectra.update({(name, q): d**q for name, d in desc.items()})
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, theta = key
-        return f"g={gs} theta={theta}", dict(gauge=gs, theta=theta, x=x[j], y=y[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j])))
     for theta in thetas:
         q = 1.0 + theta
         for gs, _ in gauges:
             t = table[gs]
             nmax = np.maximum(_root(t["x", q], q), _root(t["y", q], q))
-            cases.add((gs, theta), t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
+            key = f"g={gs} theta={theta}", dict(gauge=gs, theta=theta)
+            cases.add(key, t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
     return cases
 
 
@@ -399,17 +386,13 @@ def _cor43(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
         spectra.update({(name, p): d**p for name, d in desc.items()})
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, p = key
-        return f"g={gs} p={_fmt(p)}", dict(gauge=gs, p=p, x=x[j], y=y[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j])))
     for p in cfg.p_grid:
         for gs, _ in gauges:
             t = table[gs]
             nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
-            cases.add((gs, p), t["pow", p], 3.0 * p * _root(t["diff", p], p) * nmax ** (p - 1.0))
+            key = f"g={gs} p={_format_exponent(p)}", dict(gauge=gs, p=p)
+            cases.add(key, t["pow", p], 3.0 * p * _root(t["diff", p], p) * nmax ** (p - 1.0))
     return cases
 
 
@@ -436,18 +419,14 @@ def _lemma44(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         spectra["s1", p] = s1**p
         spectra["x", p] = lxd**p
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, p, part = key
-        return f"g={gs} p={_fmt(p)} {part}", dict(gauge=gs, p=p, variant=int(variants[j]), x=x[j], b=b[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(variant=int(variants[j]), x=x[j], b=b[j])))
     for p in cfg.p_grid:
         for gs, _ in gauges:
             t = table[gs]
+            tail, params = f"g={gs} p={_format_exponent(p)}", dict(gauge=gs, p=p)
             conv_s1 = _root(t["s1", p], p)
-            cases.add((gs, p, "first"), conv_s1, 4.0 * 2.0 ** (1.0 / p) * t["comm", p] ** (1.0 / p))
-            cases.add((gs, p, "second"), t["comm", p], 24.0 * p * _root(t["x", p], p) ** (p - 1.0) * conv_s1)
+            cases.add((f"{tail} first", params), conv_s1, 4.0 * 2.0 ** (1.0 / p) * t["comm", p] ** (1.0 / p))
+            cases.add((f"{tail} second", params), t["comm", p], 24.0 * p * _root(t["x", p], p) ** (p - 1.0) * conv_s1)
     return cases
 
 
@@ -472,23 +451,19 @@ def _lemma45(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         spectra["s0", p] = s0**p
         spectra.update({(name, p): d**p for name, d in desc.items()})
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, p, part = key
-        return f"g={gs} p={_fmt(p)} {part}", dict(gauge=gs, p=p, x=x[j], y=y[j], b=b[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j], b=b[j])))
     for p in cfg.p_grid:
         for gs, _ in gauges:
             t = table[gs]
+            tail, params = f"g={gs} p={_format_exponent(p)}", dict(gauge=gs, p=p)
             n0 = _root(t["s0", p], p)
             lhs1 = t["m1", p]
-            cases.add((gs, p, "first"), lhs1, 3.0 * _root(t["both", p], p) ** (p - 1.0) * n0)
+            cases.add((f"{tail} first", params), lhs1, 3.0 * _root(t["both", p], p) ** (p - 1.0) * n0)
             nmax = np.maximum(_root(t["x", p], p), _root(t["y", p], p))
             cases.record("first_vs_max_shape", lhs1, 3.0 * nmax ** (p - 1.0) * n0, cfg.abs_tol)
             rhs2 = 2.0 ** (1.0 - 1.0 / p) * opb ** (1.0 - 1.0 / p) * lhs1 ** (1.0 / p)
             if p >= 3.0:
-                cases.add((gs, p, "second"), n0, rhs2)
+                cases.add((f"{tail} second", params), n0, rhs2)
             elif p > 1.0:
                 cases.record("second_below_p3", n0, rhs2, cfg.abs_tol)
     return cases
@@ -509,15 +484,10 @@ def _schur(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
         spectra[alpha] = _svals(left + right)
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, alpha = key
-        return f"g={gs} alpha={alpha}", dict(gauge=gs, alpha=alpha, A=a[j], B=b[j], X=xmat[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(A=a[j], B=b[j], X=xmat[j])))
     for alpha in alphas:
         for gs, _ in gauges:
-            cases.add((gs, alpha), table[gs][pair[alpha]], table[gs]["ref"])
+            cases.add((f"g={gs} alpha={alpha}", dict(gauge=gs, alpha=alpha)), table[gs][pair[alpha]], table[gs]["ref"])
     return cases
 
 
@@ -536,18 +506,14 @@ def _lemma47(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
             spectra["s1", p] = s1**p
             spectra["e", p] = eabs**p
     table = _gauge_table(gauges, spectra)
-
-    def describe(j, key):
-        gs, p = key
-        return f"g={gs} p={_fmt(p)}", dict(gauge=gs, p=p, x=x[j], b=b[j])
-
-    cases = _Cases(n, idx, describe)
+    cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], b=b[j])))
     for p in cfg.p_grid:
         cp = 8.0 * 2.0 ** (1.0 / p) + 2.0 ** (2.0 - 1.0 / p)
         for gs, _ in gauges:
             t = table[gs]
             if p >= 3.0:
-                cases.add((gs, p), _root(t["s1", p], p), cp * t["comm", p] ** (1.0 / p))
+                key = f"g={gs} p={_format_exponent(p)}", dict(gauge=gs, p=p)
+                cases.add(key, _root(t["s1", p], p), cp * t["comm", p] ** (1.0 / p))
             if p > 1.0:
                 denom = _root(t["e", p], p) ** (p - 1.0) * _root(t["s1", p], p)
                 cases.record("forward_free_constant", t["comm", p], denom, cfg.abs_tol)
@@ -572,19 +538,19 @@ def _entropy_props(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     d_mix = rel_entropy(mix_r, mix_s)
     d_parts = rel_entropy(rhos, sigs)
     d_sum = sum(lam[:, k] * d_parts[:, k] for k in range(3))
-    cases = _Cases(n, idx, lambda j, part: (part, dict(rho=rho[j], sigma=sig3[j, 0], c=float(c[j]))))
-    cases.add("monotone", d_mono, d0)
-    cases.add("scaling", np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
-    cases.add("convexity", d_mix, d_sum)
+    cases = _Cases(n, idx, _fields(lambda j: dict(rho=rho[j], sigma=sig3[j, 0], c=float(c[j]))))
+    cases.add(("monotone", {}), d_mono, d0)
+    cases.add(("scaling", {}), np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
+    cases.add(("convexity", {}), d_mix, d_sum)
     return cases
 
 
 def _lemma53(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     a, b = sampling.psd(rngs, n), sampling.psd(rngs, n)
-    cases = _Cases(n, idx, lambda j, eps: (f"eps={eps}", dict(eps=eps, A=a[j], B=b[j])))
+    cases = _Cases(n, idx, _fields(lambda j: dict(A=a[j], B=b[j])))
     for eps in (0.5, 0.1, 0.01):
         logs = _psd_log(np.stack([a + eps * b, b + eps * a]))
-        cases.add(eps, _habs(logs[0] - logs[1])[:, 0], np.full(len(idx), -math.log(eps)))
+        cases.add((f"eps={eps}", dict(eps=eps)), _habs(logs[0] - logs[1])[:, 0], np.full(len(idx), -math.log(eps)))
     return cases
 
 
@@ -671,7 +637,7 @@ def _mazur_entropy(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         # mazur_inverse(rho, p) for every p, from one SVD of rho
         roots = _svd_powers(rho, [1.0 / p for p in cfg.p_grid])
         return [
-            (f"p={_fmt(p)}", _l1_herm(entropy_min_mat(Lp(p), st).minimizer - root), _STATE_SIDE_TOL, dict(p=p, rho=rho))
+            (f"p={_format_exponent(p)}", _l1_herm(entropy_min_mat(Lp(p), st).minimizer - root), _STATE_SIDE_TOL, dict(p=p, rho=rho))
             for p, root in zip(cfg.p_grid, roots)
         ]
 

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from spectral_mazur import (
+    entropy_min_general,
     matrix_from_json,
+    matrix_to_json,
     mazur_forward,
     norm_ui,
     norming_state,
     parse_gauge,
+    read_matrix,
     trace_norm,
     write_matrix,
 )
@@ -84,6 +87,12 @@ def test_deep_dual_conv_nesting_is_refused(mat_file, tmp_path, monkeypatch, caps
         assert err.startswith("error:") and DEEP_GAUGE in err and "Traceback" not in err, argv
     assert calls == []
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_deeply_nested_descriptor_is_a_usage_error(mat_file, capsys):
+    path, _ = mat_file
+    assert main(["norm", path, "--gauge", "dual:" * 2000 + "lp:2"]) == 2
+    assert capsys.readouterr().err == "error: gauge descriptor is nested too deeply\n"
 
 
 def test_depth_one_dual_conv_inside_a_convexification_is_accepted(mat_file, capsys):
@@ -208,11 +217,47 @@ def test_map_entropy_min_includes_report(state_file, tmp_path):
     assert main(["map", "entropy-min", path, "--gauge", "lp:2", "--out", str(out), *TS]) == 0
     artifact = json.loads(out.read_text())
     assert set(artifact) == {"manifest", "matrix", "report"}
+    # the solver report's one schema: its fields without the minimizer
+    assert set(artifact["report"]) == {"objective", "fixed_point_residual", "iterations"}
     assert artifact["report"]["fixed_point_residual"] <= 1e-8
     got = matrix_from_json(artifact["matrix"])
     expect = np.diag(np.diag(rho).real ** 0.5)
     expect = expect / np.sqrt(np.sum(np.diag(expect) ** 2))
     assert np.allclose(got, expect, atol=1e-8)
+
+
+def test_map_entropy_min_of_a_near_hermitian_state(tmp_path):
+    # Hermitian within eigh_psd's tolerance but not within check_state's:
+    # mapped through the polar path like any matrix that is not a state
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m = a @ a.conj().T
+    m = m / np.trace(m).real
+    m[0, 1] += 5e-11
+    path, out = tmp_path / "m.json", tmp_path / "o.json"
+    write_matrix(path, m)
+    assert main(["map", "entropy-min", str(path), "--gauge", "lp:3", "--out", str(out), *TS]) == 0
+    want = entropy_min_general(parse_gauge("lp:3"), read_matrix(path))
+    assert json.loads(out.read_text())["matrix"] == matrix_to_json(want)
+
+
+@pytest.mark.parametrize(
+    "kind,matrix,flags,name",
+    [("gmap", np.zeros((2, 2)), ["--project"], "nonzero-matrix"), ("entropy-min", np.diag([1.5, 0.5]), [], "unit-trace-norm")],
+)
+def test_map_refuses_a_matrix_off_its_domain(tmp_path, capsys, kind, matrix, flags, name):
+    path, out = tmp_path / "m.json", tmp_path / "o.json"
+    write_matrix(path, matrix.astype(complex))
+    assert main(["map", kind, str(path), "--gauge", "lp:2", *flags, "--out", str(out), *TS]) == 4
+    assert capsys.readouterr().err.startswith(f"precondition violated: {name}:")
+    assert not out.exists()
+
+
+def test_map_out_naming_a_directory_is_a_usage_error(state_file, tmp_path, capsys):
+    path, _ = state_file
+    assert main(["map", "entropy-min", path, "--gauge", "lp:2", "--out", str(tmp_path), *TS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 def test_map_entropy_min_stdout_when_no_out(state_file, capsys):
@@ -285,6 +330,8 @@ def test_verify_bad_config_file(tmp_path):
     assert main(["verify", "ideal", "--config", str(cfg_file)]) == 2
     cfg_file.write_text(json.dumps({"bogus": 1}))
     assert main(["verify", "ideal", "--config", str(cfg_file)]) == 2
+    cfg_file.write_text(json.dumps([{"seed": 1}]))
+    assert main(["verify", "ideal", "--config", str(cfg_file)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -297,6 +344,7 @@ def test_verify_bad_config_file(tmp_path):
         {"seed": True},
         {"samples_per_case": True},
         {"dims": [2.7]},
+        {"gauges": []},
         {"rel_tol": 1e400},
         {"p_grid": [1e400]},
         # exact integers beyond float range pass a comparison with inf

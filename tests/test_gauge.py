@@ -169,6 +169,14 @@ def test_dual_of_convexified_dual_conv_is_refused(text):
         eval_gauge(gauge_mod._parse(text), [1.0, 2.0])
 
 
+def test_parse_refuses_nesting_past_the_recursion_limit():
+    # refused as a descriptor, not left to escape as a RecursionError
+    assert gauge_mod._canonical_form(parse_gauge("dual:" * 100 + "lp:2")) == Lp(2.0)
+    for text in ("dual:" * 2000 + "lp:2", "conv:2:" * 2000 + "kyfan:2"):
+        with pytest.raises(GaugeParseError, match="nested too deeply"):
+            parse_gauge(text)
+
+
 def test_depth_one_dual_conv_is_accepted():
     # inside a convexification the dual is one level deep and evaluates in closed form
     g = parse_gauge("conv:2:dual:conv:3:kyfan:2")

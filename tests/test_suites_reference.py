@@ -677,15 +677,17 @@ def test_zero_tolerances_produce_violations_to_compare():
 @pytest.mark.parametrize("name", sorted(REFERENCE) + sorted(ENTROPY_REFERENCE))
 def test_every_case_equals_the_reference_case(name):
     # the report keeps only the worst ratio of passing cases, so compare
-    # each case's label and both sides bit for bit
+    # each case's label, both sides bit for bit and its payload's bytes
     cfg = (ENTROPY_CONFIGS if name in ENTROPY_REFERENCE else CONFIGS)[2, 1e-10]
     reference = {**REFERENCE, **ENTROPY_REFERENCE}[name](cfg)
     for n in DIMS:
-        want = [c[:3] for i in range(cfg.samples_per_case) for c in reference(n, i)[0]]
+        cases = [c for i in range(cfg.samples_per_case) for c in reference(n, i)[0]]
         block = suites_mod._block(name, cfg, n, range(cfg.samples_per_case))
         lhs, rhs = block.sides()
         got = [(block.case(k)[0], *sides) for k, sides in enumerate(zip(lhs.tolist(), rhs.tolist()))]
-        assert got == want, n
+        assert got == [c[:3] for c in cases], n
+        payloads = [dumps_json(suites_mod._payload(block.case(k)[1])) for k in range(len(got))]
+        assert payloads == [dumps_json(c[3]()) for c in cases], n
 
 
 def _case_bytes(name, cfg, size):

@@ -16,7 +16,7 @@ from spectral_mazur import (
     run_inequality_suite,
 )
 from spectral_mazur.cli import RunManifest, main
-from spectral_mazur.errors import ConfigError, DimensionTooLarge, NotSmooth, NumericalFailure, UnknownSuite
+from spectral_mazur.errors import ConfigError, DimensionTooLarge, GaugeParseError, NotSmooth, NumericalFailure, UnknownSuite
 from spectral_mazur.verify import CORE_SUITE_NAMES, ModulusProfile, SuiteReport, Violation, dumps_json, make_rng
 from spectral_mazur.verify import modulus as modulus_mod
 from spectral_mazur.verify import sampling
@@ -44,6 +44,11 @@ def test_config_validation():
         SuiteConfig(p_grid=(0.5,))
     with pytest.raises(ConfigError):
         SuiteConfig(rel_tol=-1.0)
+
+
+def test_config_refuses_a_descriptor_nested_too_deeply():
+    with pytest.raises(GaugeParseError, match="nested too deeply"):
+        SuiteConfig(gauges=["lp:2", "dual:" * 2000 + "lp:2"])
 
 
 def test_config_refuses_seeds_outside_one_word():
