@@ -51,7 +51,6 @@ from .gauge import (
 from .matnorm import (
     PolarParts,
     duality_map_mat,
-    eigh_psd,
     matrix_from_json,
     matrix_to_json,
     norm_ui,
@@ -96,7 +95,6 @@ __all__ = [
     "trace_norm",
     "polar",
     "PolarParts",
-    "eigh_psd",
     "duality_map_mat",
     "matrix_to_json",
     "matrix_from_json",

@@ -29,18 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import EntropyMinReport, check_state, entropy_min_general, entropy_min_mat
-from .errors import (
-    ConfigError,
-    NotPositive,
-    NotState,
-    NotUnitTraceNorm,
-    NumericalFailure,
-    PreconditionError,
-    ZeroMatrix,
-)
+from .entropy import entropy_min_general
+from .errors import ConfigError, NumericalFailure, PreconditionError, ZeroMatrix
 from .gauge import parse_gauge
-from .matnorm import _read_json, eigh_psd, matrix_to_json, norm_ui, read_matrix
+from .matnorm import _read_json, matrix_to_json, norm_ui, read_matrix
 from .verify import (
     MAP_NAMES,
     SUITE_NAMES,
@@ -205,26 +197,9 @@ def _cmd_map(args) -> int:
         m = (m.view(float) / peak).view(complex)
         m = m / norm_ui(dom, m)
 
-    report: EntropyMinReport | None = None
-    if kind == "entropy-min":
-        # not the profiler's FX map, which takes states only: this one also
-        # takes general matrices, and its artifact carries the solver report.
-        # The probe's spectrum is the trace norm; a PSD matrix whose m / tn
-        # check_state refuses (its Hermitian check is stricter than the
-        # probe's) is mapped like any other matrix
-        try:
-            lam, _ = eigh_psd(m)
-            tn = float(lam.sum())
-            if abs(tn - 1.0) > 1e-9:
-                raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
-            state = check_state(m / tn)
-        except (NotPositive, NotState):
-            result = entropy_min_general(g, m)
-        else:
-            report = entropy_min_mat(g, state)
-            result = report.minimizer
-    else:
-        result = apply(m)
+    # entropy-min is the profiler's FX map, called here for its solver report too
+    report = entropy_min_general(g, m) if kind == "entropy-min" else None
+    result = apply(m) if report is None else report.minimizer
 
     manifest = RunManifest(
         command=f"spectral-mazur map {kind}",

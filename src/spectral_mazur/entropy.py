@@ -20,11 +20,16 @@ residual of that identity is reported and doubles as the distance
 ``A`` to the trace-norm-one matrix ``|J(A)| A``, recovering the input of the
 minimization (the two maps are mutually inverse between the unit spheres).
 
+``entropy_min_general`` is the minimization on the whole trace-norm sphere:
+a state as it stands, any other ``a = u |a|`` as ``u σ(|a|)``.
+
 Each map diagonalises its input once and checks the input's norm on that
 spectrum: ``entropy_min_mat`` by ``check_state`` (or takes the result of an
-earlier ``check_state`` of the same state), ``entropy_min_general`` by the
-polar SVD and the ``eigh`` of the modulus, ``norming_state`` by one ``eigh``
-for PSD input and otherwise by the polar SVD and one ``eigh``.
+earlier ``check_state`` of the same state), ``entropy_min_general`` so too
+for a state and otherwise by the polar SVD and the ``eigh`` of the modulus
+(``check_state`` refuses it before its own ``eigh`` unless it is Hermitian
+of unit trace), ``norming_state`` by one ``eigh`` for PSD input and
+otherwise by the polar SVD and one ``eigh``.
 
 ``entropy_min_bruteforce`` is a deliberately independent grid-search oracle
 (diagonal states, dimension <= 3) used to cross-check the solver: it calls
@@ -34,7 +39,7 @@ none of the solver's code, and scans each of its grids as one array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +103,7 @@ def check_state(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate a density matrix; return clamped eigenvalues and eigenbasis.
 
     Hermitian within 1e-12 (relative), PSD within the clamp tolerance of
-    :func:`spectral_mazur.matnorm.eigh_psd`, unit trace within 1e-12.
+    :func:`spectral_mazur.matnorm._eigh_psd`, unit trace within 1e-12.
     Eigenvalues come back ascending, clipped to ``[0, inf)``.  The result
     unpacks as ``(lam, w)``; passed to :func:`entropy_min_mat` in place of
     the matrix, it spares that call a second validation and ``eigh``, so a
@@ -388,23 +393,27 @@ def entropy_min_mat(g: Gauge, rho) -> EntropyMinReport:
     )
 
 
-def entropy_min_general(g: Gauge, a) -> np.ndarray:
-    """Polar extension of the minimization to trace-norm-one matrices.
+def entropy_min_general(g: Gauge, a) -> EntropyMinReport:
+    """The minimization on the whole trace-norm sphere, with its report.
 
-    Writes ``a = u |a|`` and returns ``u @ entropy_min_mat(g, |a|)``: the
-    modulus is a state (its trace is the trace norm of ``a``), and the
-    minimizer's support stays inside the support of ``|a|``, so the partial
-    isometry loses nothing.  The unit trace norm is checked on that trace,
-    so ``a`` costs one SVD (the polar decomposition) and one ``eigh`` (of the
-    modulus, in the minimization).
+    A state is minimized as it stands.  Any other ``a = u |a|`` maps to
+    ``u @ entropy_min_mat(g, |a|)``, whose report it returns with that
+    minimizer: ``|a|`` is a state once its trace, the trace norm of ``a``,
+    is checked, and the minimizer's support stays inside that of ``|a|``,
+    so the partial isometry loses nothing.
     """
+    try:
+        state = check_state(a)
+    except NotState:
+        pass
+    else:
+        return entropy_min_mat(g, state)
     parts = polar(a)
     tn = float(np.trace(parts.modulus).real)
     if abs(tn - 1.0) > 1e-9:
         raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
-    rho = parts.modulus / tn
-    rep = entropy_min_mat(g, rho)
-    return parts.isometry @ rep.minimizer
+    rep = entropy_min_mat(g, parts.modulus / tn)
+    return replace(rep, minimizer=parts.isometry @ rep.minimizer)
 
 
 def norming_state(g: Gauge, a) -> np.ndarray:

@@ -362,19 +362,20 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
         out[nz] = _eval_rows(c, a[nz])
         return out
     if isinstance(c, Dual):
-        # c.base is Convexified(B, p), B = KyFan(k) or Dual(KyFan(k)); a = m: no index below m hits
+        # c.base is Convexified(B, p), B = KyFan(k) or Dual(KyFan(k)); k > n behaves as
+        # k = n, so no index past int64 reaches numpy; a = k: no index below k hits
         support = isinstance(c.base.base, KyFan)
-        k = c.base.base.k if support else c.base.base.base.k
-        p, q, m = c.base.p, _conjugate(c.base.p), min(k, a.shape[1])
+        k = min(c.base.base.k if support else c.base.base.base.k, a.shape[1])
+        p, q = c.base.p, _conjugate(c.base.p)
         phi = np.pad(-np.sort(-(a / peak[:, None]), axis=1), ((0, 0), (0, 1)))
         if support:  # T_a
-            tails = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1][:, : m + 1]
-            hit = (k - np.arange(m + 1)) * phi[:, : m + 1] <= tails
+            tails = np.cumsum(phi[:, ::-1], axis=1)[:, ::-1][:, : k + 1]
+            hit = (k - np.arange(k + 1)) * phi[:, : k + 1] <= tails
         else:  # S_a^(1/q), peak-scaled by the l^q evaluator, so no power that counts underflows
-            tails = _eval_rows(Lp(q), np.triu(np.repeat(phi[:, None], m + 1, axis=1)).reshape(-1, phi.shape[1]))
-            tails = tails.reshape(len(a), m + 1)
-            hit = (k - np.arange(m + 1)) ** (1.0 / q) * phi[:, : m + 1] <= tails
-        hit[:, m] = True
+            tails = _eval_rows(Lp(q), np.triu(np.repeat(phi[:, None], k + 1, axis=1)).reshape(-1, phi.shape[1]))
+            tails = tails.reshape(len(a), k + 1)
+            hit = (k - np.arange(k + 1)) ** (1.0 / q) * phi[:, : k + 1] <= tails
+        hit[:, k] = True
         at = hit.argmax(axis=1)
         kept = np.where(np.arange(phi.shape[1]) < at[:, None], phi, 0.0)
         pooled = tails[np.arange(len(a)), at] * (k - at) ** (-1.0 / p if support else 1.0 / p)

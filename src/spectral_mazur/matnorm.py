@@ -38,7 +38,6 @@ __all__ = [
     "trace_norm",
     "polar",
     "duality_map_mat",
-    "eigh_psd",
     "matrix_to_json",
     "matrix_from_json",
     "write_matrix",
@@ -130,20 +129,11 @@ def polar(a) -> PolarParts:
     return PolarParts(isometry=isometry, modulus=modulus)
 
 
-def eigh_psd(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a PSD matrix with a clamped spectrum.
-
-    Hermiticity is enforced up to round-off; eigenvalues in
-    ``[-n * eps * lam_max, 0)`` are clamped to 0, anything more
-    negative raises :class:`NotPositive`.  Returns ``(lam, w)`` with ``lam``
-    ascending.
-    """
-    return _eigh_psd(as_matrix(a))
-
-
 def _eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eigh_psd` of a validated matrix or stack, each matrix checked
-    against its own scale; one ``eigh`` call for the whole stack."""
+    """Eigendecomposition ``(lam, w)``, ``lam`` ascending, of a validated PSD
+    matrix or stack, in one ``eigh`` call; each matrix must be Hermitian
+    within 1e-10 of its scale, and eigenvalues in ``[-n eps lam_max, 0)`` are
+    clamped to 0, anything more negative raises :class:`NotPositive`."""
     n = m.shape[-1]
     mh = _adj(m)
     herm_err = np.abs(m - mh).max(axis=(-2, -1))
@@ -187,7 +177,7 @@ def _psd_or_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
     ``m = isometry @ modulus`` (the polar SVD and one ``eigh``).
 
     ``lam`` are the singular values of ``m`` either way; what counts as PSD
-    is what :func:`eigh_psd` accepts.
+    is what :func:`_eigh_psd` accepts.
     """
     try:
         lam, w = _eigh_psd(m)

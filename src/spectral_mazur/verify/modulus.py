@@ -31,13 +31,14 @@ attained); ``FX_inv`` needs a smooth gauge, ``q > 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from ..entropy import entropy_min_mat, norming_state
-from ..errors import ConfigError, NotSmooth
+from ..entropy import entropy_min_general, norming_state
+from ..errors import ConfigError, NotSmooth, NumericalFailure
 from ..gauge import Gauge, Lp, _canonical_form, convexify, eval_gauge, format_gauge
 from ..mazur import _check_power, mazur_forward, mazur_inverse
 from . import sampling
@@ -112,7 +113,7 @@ def _sphere_map(map_name: str, gauge: Gauge, p: float | None, label: str | None 
         power = partial(norming_state, gauge)
 
         def root(b):
-            return entropy_min_mat(gauge, b).minimizer
+            return entropy_min_general(gauge, b).minimizer
 
     if map_name in ("Gp", "FX_inv"):  # the e-th power, from conv onto base
         dom, img, apply = conv, base, power
@@ -140,10 +141,13 @@ def estimate_modulus(
     ``p`` is required for the power maps ``Gp`` / ``Gp_inv``, where it must
     be finite, and refused otherwise: the entropy maps read their exponent
     from ``gauge``, whose smoothness (or, for ``FX``, equality with
-    ``lp:1``) is checked before the first sample.  Sample count is
+    ``lp:1``) is checked before the first sample, as is a finite bound at
+    the largest bin (else :class:`NumericalFailure`).  Sample count is
     ``len(cfg.dims) * cfg.samples_per_case``.
     """
     dom, img, apply, bound = _sphere_map(map_name, gauge, p)
+    if not math.isfinite(bound(_T_MAX)):
+        raise NumericalFailure(f"the bound of {map_name} overflows at t = {_T_MAX:g}")
 
     edges = np.geomspace(_T_MIN, _T_MAX, _NBINS + 1)
     omega = np.zeros(_NBINS)

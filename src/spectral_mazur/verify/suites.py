@@ -605,8 +605,8 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
             general_unit = u3 @ np.diag(unit).astype(complex) @ v3
             back = norming_state(g, entropy_min_mat(g, st).minimizer)
             back_a = entropy_min_mat(g, norming_state(g, psd_unit)).minimizer
-            back_b = entropy_min_general(g, norming_state(g, general_unit))
-            back_t = norming_state(g, entropy_min_general(g, general_trace))
+            back_b = entropy_min_general(g, norming_state(g, general_unit)).minimizer
+            back_t = norming_state(g, entropy_min_general(g, general_trace).minimizer)
             return (
                 ("state-roundtrip", _l1_herm(back - rho), _STATE_SIDE_TOL, dict(rho=rho)),
                 ("sphere-roundtrip", _l1_herm(back_a - psd_unit), _SPHERE_SIDE_TOL, dict(A=psd_unit)),

@@ -19,7 +19,6 @@ from spectral_mazur import (
     check_state,
     dual_gauge,
     duality_map_seq,
-    eigh_psd,
     eval_gauge,
     norm_ui,
     polar,
@@ -34,7 +33,7 @@ from spectral_mazur.entropy import (
 )
 from spectral_mazur.errors import NoConvergence, NotUnitNorm, NotUnitTraceNorm, ZeroMatrix
 from spectral_mazur.gauge import Lp
-from spectral_mazur.matnorm import _EPS, as_matrix
+from spectral_mazur.matnorm import _EPS, _eigh_psd, as_matrix
 
 
 def _solve_support(g, r, tol, max_iter):
@@ -134,12 +133,12 @@ def norming_state(g, a):
     if abs(nrm - 1.0) > 1e-9:
         raise NotUnitNorm(f"input must have unit gauge norm, got {nrm!r}")
     if _is_psd(m):
-        lam, w = eigh_psd(m)
+        lam, w = _eigh_psd(as_matrix(m))
         j = duality_map_seq(g, lam)
         out = (w * (j * lam)) @ w.conj().T
         return 0.5 * (out + out.conj().T)
     parts = polar(m)
-    lam, w = eigh_psd(parts.modulus)
+    lam, w = _eigh_psd(as_matrix(parts.modulus))
     j = duality_map_seq(g, lam)
     core = (w * (j * lam)) @ w.conj().T
     return parts.isometry @ (0.5 * (core + core.conj().T))
@@ -167,7 +166,7 @@ def _is_psd(m: np.ndarray) -> bool:
 
 
 def _duality_map_psd(g, m: np.ndarray) -> np.ndarray:
-    lam, w = eigh_psd(m)
+    lam, w = _eigh_psd(as_matrix(m))
     j_seq = duality_map_seq(g, lam)
     out = (w * j_seq) @ w.conj().T
     return 0.5 * (out + out.conj().T)

@@ -11,7 +11,6 @@ import numpy as np
 
 from spectral_mazur import (
     Lp,
-    eigh_psd,
     entropy_min_bruteforce,
     entropy_min_mat,
     format_gauge,
@@ -31,6 +30,7 @@ from spectral_mazur.verify import (
     sampling,
 )
 from spectral_mazur.verify.config import DEFAULT_GAUGES, DEFAULT_P_GRID
+from spectral_mazur.matnorm import _eigh_psd, as_matrix
 
 DIMS16 = (2, 3, 5, 8, 16)
 SMOOTH_GAUGES = ("lp:1.5", "lp:2", "lp:4", "conv:2:lp:1", "conv:3:lp:2")
@@ -99,8 +99,8 @@ def test_criterion_2_explicit_constants():
         a = np.eye(n, dtype=complex)
         b = np.zeros((n, n), dtype=complex)
         for eps in (0.5, 0.1, 0.01):
-            l1, w1 = eigh_psd(a + eps * b)
-            l2, w2 = eigh_psd(b + eps * a)
+            l1, w1 = _eigh_psd(as_matrix(a + eps * b))
+            l2, w2 = _eigh_psd(as_matrix(b + eps * a))
             diff = (w1 * np.log(l1)) @ w1.conj().T - (w2 * np.log(l2)) @ w2.conj().T
             gap = max(gap, abs(norm_ui(op, diff) - (-np.log(eps))))
     assert gap <= 1e-12, f"equality gap {gap:.3e}"
@@ -167,7 +167,7 @@ def test_criterion_5_lp_minimizer_closed_form():
             n = DIMS16[j % len(DIMS16)]
             rho = sampling.state([rng], n)[0]
             y = entropy_min_mat(g, rho).minimizer
-            lam, w = eigh_psd(rho)
+            lam, w = _eigh_psd(as_matrix(rho))
             root = (w * lam ** (1.0 / p)) @ w.conj().T  # unit p-norm since tr(rho)=1
             worst = max(worst, trace_norm(y - root))
     assert worst <= 1e-6, f"worst closed-form gap {worst:.3e}"

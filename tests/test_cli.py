@@ -102,6 +102,17 @@ def test_depth_one_dual_conv_inside_a_convexification_is_accepted(mat_file, caps
     assert capsys.readouterr().out.strip() == f"{norm_ui(g, a):.15g}"
 
 
+def test_kyfan_index_past_int64_inside_a_dual_convexification(tmp_path, capsys):
+    # k > n behaves as k = n, in norm and in a verify config alike
+    write_matrix(tmp_path / "I3.json", np.eye(3).astype(complex))
+    gauges = ["dual:conv:2:kyfan:" + str(10**20), "dual:conv:2:dual:kyfan:" + str(10**20)]
+    for gauge, want in zip(gauges, ("1.73205080756888", "3")):
+        assert main(["norm", str(tmp_path / "I3.json"), "--gauge", gauge]) == 0
+        assert capsys.readouterr().out == want + "\n", gauge
+    (tmp_path / "c.json").write_text(json.dumps({"gauges": gauges, "dims": [2, 3], "samples_per_case": 2}))
+    assert main(["verify", "holder", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "r"), *TS]) == 0
+
+
 def test_norm_missing_file(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "nope.json"), "--gauge", "lp:2"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read matrix file")
@@ -200,9 +211,9 @@ def test_map_projects_a_subnormal_matrix(tmp_path, monkeypatch, kind):
         seen.append(dom)
         return dom, img, lambda m: seen.append(m) or apply(m), bound
 
-    eigh_psd = cli.eigh_psd
+    entropy_map = cli.entropy_min_general
     monkeypatch.setattr(cli, "_sphere_map", spy)
-    monkeypatch.setattr(cli, "eigh_psd", lambda m: seen.append(m) or eigh_psd(m))
+    monkeypatch.setattr(cli, "entropy_min_general", lambda g, m: seen.append(m) or entropy_map(g, m))
     p = ["--p", "3"] if kind.startswith("mazur") else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -227,8 +238,8 @@ def test_map_entropy_min_includes_report(state_file, tmp_path):
 
 
 def test_map_entropy_min_of_a_near_hermitian_state(tmp_path):
-    # Hermitian within eigh_psd's tolerance but not within check_state's:
-    # mapped through the polar path like any matrix that is not a state
+    # not Hermitian within check_state's tolerance: mapped through the polar
+    # path like any matrix that is not a state, and certified all the same
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = a @ a.conj().T
@@ -237,8 +248,36 @@ def test_map_entropy_min_of_a_near_hermitian_state(tmp_path):
     path, out = tmp_path / "m.json", tmp_path / "o.json"
     write_matrix(path, m)
     assert main(["map", "entropy-min", str(path), "--gauge", "lp:3", "--out", str(out), *TS]) == 0
-    want = entropy_min_general(parse_gauge("lp:3"), read_matrix(path))
-    assert json.loads(out.read_text())["matrix"] == matrix_to_json(want)
+    want = entropy_min_general(parse_gauge("lp:3"), read_matrix(path)).minimizer
+    artifact = json.loads(out.read_text())
+    assert artifact["matrix"] == matrix_to_json(want)
+    assert artifact["report"]["fixed_point_residual"] <= 1e-8
+
+
+def test_map_entropy_min_of_a_general_matrix_carries_its_report(mat_file, tmp_path):
+    # the polar path writes the minimizer of entropy_min_general and its report
+    _, a = mat_file
+    path, out = tmp_path / "general.json", tmp_path / "o.json"
+    write_matrix(path, a / trace_norm(a))
+    assert main(["map", "entropy-min", str(path), "--gauge", "lp:3", "--out", str(out), *TS]) == 0
+    artifact = json.loads(out.read_text())
+    rep = entropy_min_general(parse_gauge("lp:3"), read_matrix(path))
+    assert artifact["matrix"] == matrix_to_json(rep.minimizer)
+    assert artifact["report"] == {"objective": rep.objective, "fixed_point_residual": rep.fixed_point_residual, "iterations": rep.iterations}
+    assert artifact["report"]["fixed_point_residual"] <= 1e-8
+
+
+def test_map_entropy_min_is_the_profilers_fx_map(mat_file, tmp_path):
+    # one map: on a state and on a general matrix, map entropy-min writes
+    # the bits of the modulus profiler's FX
+    _, a = mat_file
+    rho = a @ a.conj().T
+    _, _, fx, _ = cli._sphere_map("FX", parse_gauge("lp:2.5"), None)
+    for kind, m in (("state", rho / np.trace(rho).real), ("general", a / trace_norm(a))):
+        path, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.out.json"
+        write_matrix(path, m)
+        assert main(["map", "entropy-min", str(path), "--gauge", "lp:2.5", "--out", str(out), *TS]) == 0
+        assert json.loads(out.read_text())["matrix"] == matrix_to_json(fx(read_matrix(path))), kind
 
 
 @pytest.mark.parametrize(
@@ -290,7 +329,7 @@ def test_map_numerical_failure_exit_3(state_file, monkeypatch, capsys):
     def boom(*a, **k):
         raise NoConvergence("solver stalled", 0.1)
 
-    monkeypatch.setattr("spectral_mazur.cli.entropy_min_mat", boom)
+    monkeypatch.setattr("spectral_mazur.cli.entropy_min_general", boom)
     assert main(["map", "entropy-min", path, "--gauge", "lp:2"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -508,6 +547,19 @@ def test_modulus_smoothness_precondition(tmp_path, capsys):
         assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists(), map_name
 
 
+@pytest.mark.parametrize("gauge", ["lp:1e308", "conv:1e154:lp:1e154"])
+def test_modulus_bound_overflow_exits_3(tmp_path, capsys, gauge):
+    # the bound 3 q t of FX_inv is inf: refused before any sample, with no
+    # .json or .csv written; map gmap under the same gauge is unaffected
+    argv = ["modulus", "FX_inv", "--gauge", gauge, "--dims", "2", "--samples", "3", "--out", str(tmp_path / "x"), *TS]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+    write_matrix(tmp_path / "m.json", np.diag([1.0, 0.5]).astype(complex))
+    assert main(["map", "gmap", str(tmp_path / "m.json"), "--gauge", gauge, "--project", "--out", str(tmp_path / "g.json"), *TS]) == 0
+
+
 def test_modulus_rerun_byte_identical(tmp_path):
     argv = ["modulus", "Gp_inv", "--gauge", "lp:2", "--p", "2", "--dims", "2", "--samples", "12", "--out", str(tmp_path / "p"), *TS]
     assert main(argv) == 0
@@ -638,9 +690,9 @@ def test_cli_runs_as_a_process(tmp_path):
 
 
 def test_power_overflow_exits_3_without_a_warning(tmp_path):
-    # a power map whose singular values overflow, or a suite whose powers
-    # do, is a numerical failure, reported as such before any artifact is
-    # written, and numpy stays silent
+    # a power map whose singular values overflow, a modulus bound that
+    # does, or a suite whose powers do, is a numerical failure, reported as
+    # such before any artifact is written, and numpy stays silent
     env = _process_env()
     write_matrix(tmp_path / "big.json", np.full((2, 2), 1e308))
     (tmp_path / "c.json").write_text(json.dumps({"dims": [2, 16], "samples_per_case": 3, "p_grid": [1, 800]}))
@@ -648,6 +700,7 @@ def test_power_overflow_exits_3_without_a_warning(tmp_path):
     for argv in (
         ["map", "mazur", "big.json", "--gauge", "lp:1", "--p", "3", "--out", "out.json"],
         ["modulus", "Gp", "--gauge", "lp:1", "--p", "1e308", "--dims", "2", "--samples", "2", "--out", "prof"],
+        ["modulus", "FX_inv", "--gauge", "lp:1e308", "--dims", "2", "--samples", "3", "--out", "fx"],
         ["verify", "lemma45", "--config", "c.json"],
     ):
         run = subprocess.run([*cli_argv, *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -655,6 +708,7 @@ def test_power_overflow_exits_3_without_a_warning(tmp_path):
         assert run.stderr.startswith("numerical failure:"), run.stderr
         assert "Warning" not in run.stderr and "Traceback" not in run.stderr, run.stderr
     assert not (tmp_path / "out.json").exists()
+    assert not (tmp_path / "fx.json").exists() and not (tmp_path / "fx.csv").exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", "4294967296", "4294967297", "-4294967295"])

@@ -18,7 +18,6 @@ from spectral_mazur import (
     SuiteConfig,
     check_state,
     duality_map_mat,
-    eigh_psd,
     entropy_min_bruteforce,
     entropy_min_general,
     entropy_min_mat,
@@ -45,6 +44,7 @@ from spectral_mazur.errors import (
     NumericalFailure,
 )
 from spectral_mazur.cli import main
+from spectral_mazur.matnorm import _eigh_psd, as_matrix
 from spectral_mazur.verify import suites as suites_mod
 
 import _reference_maps as ref_maps
@@ -563,12 +563,12 @@ def test_general_polar_extension():
     tvals = rng.uniform(0.1, 1.0, size=3)
     tvals /= tvals.sum()
     a = u @ np.diag(tvals).astype(complex) @ v
-    out = entropy_min_general(g, a)
+    out = entropy_min_general(g, a).minimizer
     # the minimizer inherits the polar isometry of the input
     assert eval_gauge(g, np.linalg.svd(out, compute_uv=False)) == pytest.approx(1.0, abs=1e-9)
-    # PSD input reduces to the state-level result
+    # a state is minimized as it stands
     rho = _rand_state(rng, 3)
-    assert np.allclose(entropy_min_general(g, rho), entropy_min_mat(g, rho).minimizer, atol=1e-10)
+    assert _outcome(entropy_min_general, g, rho) == _outcome(entropy_min_mat, g, rho)
 
 
 def test_general_requires_unit_trace_norm():
@@ -584,7 +584,7 @@ def test_general_roundtrip_non_hermitian():
     a = u @ np.diag(vals / eval_gauge(g, vals)).astype(complex) @ v
     rho = norming_state(g, a)
     assert trace_norm(rho) == pytest.approx(1.0, abs=1e-9)
-    back = entropy_min_general(g, rho)
+    back = entropy_min_general(g, rho).minimizer
     assert trace_norm(back - a) <= 1e-5
 
 
@@ -662,9 +662,12 @@ def test_entropy_min_general_equals_its_earlier_form_bit_for_bit(s):
         if kind.endswith("rank-deficient"):
             parts = polar(a)
             want = parts.isometry @ _cut_closed_form(parts.modulus / np.trace(parts.modulus).real, g)
-            assert trace_norm(entropy_min_general(g, a) - want) <= 1e-7, kind
+            assert trace_norm(entropy_min_general(g, a).minimizer - want) <= 1e-7, kind
+        elif kind == "psd":  # a state: minimized as it stands
+            assert _outcome(entropy_min_general, g, a) == _outcome(entropy_min_mat, g, a), kind
         else:
-            assert _outcome(entropy_min_general, g, a) == _outcome(ref_maps.entropy_min_general, g, a), kind
+            got = _outcome(lambda g, a: entropy_min_general(g, a).minimizer, g, a)
+            assert got == _outcome(ref_maps.entropy_min_general, g, a), kind
 
 
 def _rank_deficient_state(rng):
@@ -707,7 +710,7 @@ def test_check_state_unpacks_as_spectrum_and_basis():
     state = check_state(rho)
     lam, w = state
     assert isinstance(state, tuple) and len(state) == 2
-    want_lam, want_w = eigh_psd(rho)
+    want_lam, want_w = _eigh_psd(as_matrix(rho))
     assert _same_bits(lam, want_lam) and _same_bits(w, want_w)
 
 
@@ -796,12 +799,11 @@ def test_each_map_diagonalises_its_input_once(monkeypatch):
 
 
 def test_map_entropy_min_decomposes_psd_input_without_svd(tmp_path, monkeypatch):
-    # PSD input: the probe's eigh gives the trace norm, and check_state
-    # decomposes the state; general input: entropy_min_general's SVD and
-    # eigh, after a probe that stops at its Hermitian check
+    # PSD input: check_state's eigh; general input: the polar SVD and the
+    # modulus's eigh, after a check_state that stops at its Hermitian check
     inputs = _map_inputs(np.random.default_rng(57))
     calls = _LinalgCalls(monkeypatch)
-    for kind, want in (("psd", {"eigh": 2, "eigvalsh": 0, "svd": 0}), ("general", {"eigh": 1, "eigvalsh": 0, "svd": 1})):
+    for kind, want in (("psd", {"eigh": 1, "eigvalsh": 0, "svd": 0}), ("general", {"eigh": 1, "eigvalsh": 0, "svd": 1})):
         path = tmp_path / f"{kind}.json"
         write_matrix(path, inputs[kind] / trace_norm(inputs[kind]))
         calls.reset()

@@ -394,6 +394,20 @@ def test_eval_rows_equals_eval_for_dual_conv(s, n):
     assert ref_gauge.eval_gauge(g, rows[0]) <= got[0] * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("form", ["dual:conv:2:kyfan:{}", "dual:conv:3:dual:kyfan:{}"])
+def test_dual_conv_kyfan_index_past_n_is_n(form):
+    # k > n behaves as k = n, also for an index past int64, which numpy
+    # cannot hold
+    rng = np.random.default_rng(18)
+    for n in (1, 3, 8):
+        rows = np.abs(rng.normal(size=(4, n)))
+        want = eval_gauge_rows(parse_gauge(form.format(n)), rows).tolist()
+        for k in (n + 1, 2**63, 10**30):
+            g = parse_gauge(form.format(k))
+            assert eval_gauge_rows(g, rows).tolist() == want, (n, k)
+            assert [eval_gauge(g, row) for row in rows] == want, (n, k)
+
+
 def _norming_functional(base, v):
     """A norming functional of the canonical ``Convexified(B, p)`` at ``v >= 0``,
     for ``B`` = ``KyFan(k)`` or ``Dual(KyFan(k))``: ``<f, v> = base(v)`` and the

@@ -15,7 +15,6 @@ from spectral_mazur import (
     Lp,
     dual_gauge,
     duality_map_mat,
-    eigh_psd,
     matrix_from_json,
     matrix_to_json,
     norm_ui,
@@ -27,6 +26,7 @@ from spectral_mazur import (
     write_matrix,
 )
 from spectral_mazur.errors import ConfigError, MatrixFormatError, NotPositive, NotSmooth, ZeroMatrix
+from spectral_mazur.matnorm import _eigh_psd, as_matrix
 
 GAUGES = ("lp:1", "lp:1.5", "lp:2", "lp:4", "lp:inf", "kyfan:2", "conv:2:lp:1", "dual:lp:3")
 
@@ -132,13 +132,13 @@ def test_polar_positive_input_gives_identity_isometry_action():
 
 
 def test_eigh_psd_clamps_dust_and_rejects_indefinite():
-    lam, w = eigh_psd(np.diag([1.0, -1e-18, 0.5]))
+    lam, w = _eigh_psd(as_matrix(np.diag([1.0, -1e-18, 0.5])))
     assert np.min(lam) >= 0.0
     assert np.allclose((w * lam) @ w.conj().T, np.diag([1.0, 0.0, 0.5]), atol=1e-12)
     with pytest.raises(NotPositive):
-        eigh_psd(np.diag([1.0, -0.5]))
+        _eigh_psd(as_matrix(np.diag([1.0, -0.5])))
     with pytest.raises(NotPositive):
-        eigh_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _eigh_psd(as_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
 # ---------------------------------------------------------------------------

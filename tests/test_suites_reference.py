@@ -36,7 +36,6 @@ from spectral_mazur import (
     Lp,
     SuiteConfig,
     check_state,
-    eigh_psd,
     eval_gauge,
     mazur_inverse,
     parse_gauge,
@@ -45,7 +44,7 @@ from spectral_mazur import (
 from spectral_mazur.verify import dumps_json, sampling
 from spectral_mazur.verify import suites as suites_mod
 from spectral_mazur.verify.config import SuiteReport, Violation
-from spectral_mazur.matnorm import as_matrix, matrix_to_json
+from spectral_mazur.matnorm import _eigh_psd, as_matrix, matrix_to_json
 
 import _reference_maps as ref_maps
 import _reference_sampling as ref_sampling
@@ -133,7 +132,7 @@ def _psd_log(m):
 
 def _rel_entropy(rho, sigma):
     r, wr = check_state(rho)
-    lam, ws = eigh_psd(sigma)
+    lam, ws = _eigh_psd(as_matrix(sigma))
     n = lam.size
     tau = n * _EPS * float(lam[-1])
     on_support = lam > tau

@@ -408,14 +408,14 @@ def test_modulus_entropy_maps_stay_under_bounds(name, gauge):
 def test_modulus_counts_violations_of_a_stretched_map(monkeypatch):
     # the profiler checks each sample of the entropy maps against its bound:
     # a map that stretches its output tenfold breaks it
-    norming, minimizer = modulus_mod.norming_state, modulus_mod.entropy_min_mat
+    norming, minimizer = modulus_mod.norming_state, modulus_mod.entropy_min_general
 
     def stretched_min(g, rho):
         rep = minimizer(g, rho)
         return dataclasses.replace(rep, minimizer=10.0 * rep.minimizer)
 
     monkeypatch.setattr(modulus_mod, "norming_state", lambda g, a: 10.0 * norming(g, a))
-    monkeypatch.setattr(modulus_mod, "entropy_min_mat", stretched_min)
+    monkeypatch.setattr(modulus_mod, "entropy_min_general", stretched_min)
     for name in ("FX", "FX_inv"):
         assert estimate_modulus(name, SMALL, parse_gauge("lp:2")).bound_violations > 0, name
 
@@ -450,3 +450,15 @@ def test_modulus_entropy_precondition_before_any_sample(monkeypatch, name, gauge
     monkeypatch.setattr(sampling, "make_rng", no_sample)
     with pytest.raises(NotSmooth):
         estimate_modulus(name, SMALL, parse_gauge(gauge))
+
+
+@pytest.mark.parametrize(("name", "gauge", "p"), [("FX_inv", "lp:1e308", None), ("FX_inv", "conv:1e154:lp:1e154", None), ("Gp", "lp:2", 1e308)])
+def test_modulus_bound_overflow_before_any_sample(monkeypatch, name, gauge, p):
+    # a bound 3 q t that is inf at the largest bin could not be written: it
+    # is a numerical failure before a generator is made
+    def no_sample(*key):
+        raise AssertionError(f"sampled {key}")
+
+    monkeypatch.setattr(sampling, "make_rng", no_sample)
+    with pytest.raises(NumericalFailure, match="overflows"):
+        estimate_modulus(name, SMALL, parse_gauge(gauge), p=p)
