@@ -42,7 +42,7 @@ from .verify import (
     run_inequality_suite,
 )
 from .verify.config import _fields_json
-from .verify.modulus import _sphere_map
+from .verify.modulus import _profiled_map, _sphere_map
 
 __all__ = ["RunManifest", "main", "entry"]
 
@@ -264,7 +264,7 @@ def _cmd_verify(args) -> int:
 def _cmd_modulus(args) -> int:
     cfg = _build_config(args)
     g = parse_gauge(args.gauge)
-    _sphere_map(args.map, g, args.p)  # refuse a bad call before the output directory exists
+    _profiled_map(args.map, g, args.p)  # refuse a bad call before the output directory exists
     base = args.out or "modulus"
     _make_dir(Path(base).parent)
     profile = estimate_modulus(args.map, cfg, g, p=args.p)

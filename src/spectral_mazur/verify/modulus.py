@@ -90,9 +90,9 @@ def _perturb_psd(rng: np.random.Generator, a: np.ndarray, g: Gauge) -> np.ndarra
 def _sphere_map(map_name: str, gauge: Gauge, p: float | None, label: str | None = None):
     """``(domain gauge, image gauge, map, bound)`` of one sphere map.
 
-    Every argument and precondition check of :func:`estimate_modulus` is
-    made here, so a caller can refuse a call before it does any work.
-    Messages name the map ``label``, by default ``map_name``.
+    Every argument and precondition check of the map is made here, so a
+    caller can refuse a call before it does any work.  Messages name the map
+    ``label``, by default ``map_name``.
     """
     if map_name not in MAP_NAMES:
         raise ConfigError(f"unknown map {map_name!r}; choose from {list(MAP_NAMES)}")
@@ -130,12 +130,16 @@ def _sphere_map(map_name: str, gauge: Gauge, p: float | None, label: str | None 
     return dom, img, apply, bound
 
 
-def estimate_modulus(
-    map_name: str,
-    cfg: SuiteConfig,
-    gauge: Gauge,
-    p: float | None = None,
-) -> ModulusProfile:
+def _profiled_map(map_name: str, gauge: Gauge, p: float | None):
+    """:func:`_sphere_map`, refused unless its bound is finite at the largest
+    bin: every refusal :func:`estimate_modulus` makes before it samples."""
+    sphere = _sphere_map(map_name, gauge, p)
+    if not math.isfinite(sphere[3](_T_MAX)):
+        raise NumericalFailure(f"the bound of {map_name} overflows at t = {_T_MAX:g}")
+    return sphere
+
+
+def estimate_modulus(map_name: str, cfg: SuiteConfig, gauge: Gauge, p: float | None = None) -> ModulusProfile:
     """Estimate the modulus profile of one sphere map under ``gauge``.
 
     ``p`` is required for the power maps ``Gp`` / ``Gp_inv``, where it must
@@ -145,9 +149,7 @@ def estimate_modulus(
     the largest bin (else :class:`NumericalFailure`).  Sample count is
     ``len(cfg.dims) * cfg.samples_per_case``.
     """
-    dom, img, apply, bound = _sphere_map(map_name, gauge, p)
-    if not math.isfinite(bound(_T_MAX)):
-        raise NumericalFailure(f"the bound of {map_name} overflows at t = {_T_MAX:g}")
+    dom, img, apply, bound = _profiled_map(map_name, gauge, p)
 
     edges = np.geomspace(_T_MIN, _T_MAX, _NBINS + 1)
     omega = np.zeros(_NBINS)

@@ -26,18 +26,19 @@ Blocks: the samples of each dimension are cut into blocks of at most
 the whole block through the stacked samplers of ``sampling``, which give
 every generator the calls it would get alone; draws that depend on a
 sample's variant go by variant group.  It runs LAPACK, matmul and
-``rel_entropy`` once per stacked array.  It then builds every spectrum
-array it needs and evaluates them with one ``eval_gauge_rows`` call per
-canonical gauge and width.  Per matrix, per row and per entry these give
+``rel_entropy`` once per stacked array.  It then builds every spectrum array
+it needs and evaluates them with one ``eval_gauge_rows`` call per canonical
+gauge and width.  ``lemma41``, ``lemma42`` and ``cor43`` draw and power one
+PSD pair in ``_pair_powers``.  Per matrix, per row and per entry these give
 the same bits as one call per sample; powers are taken on arrays with
 positive strides only (see ``_desc``).  ``lemma54``, ``roundtrip`` and
 ``mazur_entropy`` draw their block the same way but then solve sample by
 sample (``_per_sample``), because their solvers take one matrix at a time;
-they solve once per canonical gauge (or exponent), and each sampled state
-is validated and diagonalised once by ``check_state``, whose result every
-solve of that state takes in place of the matrix.  Blocks are merged in
-index order, which keeps cases and violations in sample order, so the
-report bytes do not depend on the number of threads.
+they solve once per canonical gauge (or exponent), and each sampled state is
+validated and diagonalised once by ``check_state``, whose result every solve
+of that state takes in place of the matrix.  Blocks are merged in index
+order, which keeps cases and violations in sample order, so the report bytes
+do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -333,17 +334,23 @@ def _fan_dominance(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     return cases
 
 
+def _pair_powers(n: int, rngs: list, exponents) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The block's PSD pair x, y and, per exponent e, the spectra ``("pow", e)`` of x^e - y^e
+    and ``("diff" | "x" | "y", e)``, the e-th powers of the descending spectra of x - y, x, y."""
+    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
+    (lx, wx), (ly, wy) = _eigh_clip(x), _eigh_clip(y)
+    desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
+    spectra = {}
+    for e in exponents:
+        spectra["pow", e] = _habs(_power(lx, wx, e) - _power(ly, wy, e))
+        spectra.update({(name, e): d**e for name, d in desc.items()})
+    return x, y, spectra
+
+
 def _lemma41(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
-    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-    lx, wx = _eigh_clip(x)
-    ly, wy = _eigh_clip(y)
-    sdiff = _habs(x - y)
-    spectra = {}
-    for p in cfg.p_grid:
-        spectra["diff", p] = sdiff**p
-        spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
-    table = _gauge_table(gauges, spectra)
+    x, y, spectra = _pair_powers(n, rngs, cfg.p_grid)
+    table = _gauge_table(gauges, {key: s for key, s in spectra.items() if key[0] in ("diff", "pow")})
     cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j])))
     for p in cfg.p_grid:
         for gs, _ in gauges:
@@ -354,15 +361,7 @@ def _lemma41(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
 def _lemma42(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
     thetas = (0.25, 0.5, 0.75, 1.0)
-    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-    lx, wx = _eigh_clip(x)
-    ly, wy = _eigh_clip(y)
-    desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
-    spectra = {}
-    for theta in thetas:
-        q = 1.0 + theta
-        spectra["pow", q] = _habs(_power(lx, wx, q) - _power(ly, wy, q))
-        spectra.update({(name, q): d**q for name, d in desc.items()})
+    x, y, spectra = _pair_powers(n, rngs, [1.0 + theta for theta in thetas])
     table = _gauge_table(gauges, spectra)
     cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j])))
     for theta in thetas:
@@ -370,21 +369,13 @@ def _lemma42(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         for gs, _ in gauges:
             t = table[gs]
             nmax = np.maximum(_root(t["x", q], q), _root(t["y", q], q))
-            key = f"g={gs} theta={theta}", dict(gauge=gs, theta=theta)
-            cases.add(key, t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
+            cases.add((f"g={gs} theta={theta}", dict(gauge=gs, theta=theta)), t["pow", q], 3.0 * _root(t["diff", q], q) * nmax**theta)
     return cases
 
 
 def _cor43(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
-    x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-    lx, wx = _eigh_clip(x)
-    ly, wy = _eigh_clip(y)
-    desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
-    spectra = {}
-    for p in cfg.p_grid:
-        spectra["pow", p] = _habs(_power(lx, wx, p) - _power(ly, wy, p))
-        spectra.update({(name, p): d**p for name, d in desc.items()})
+    x, y, spectra = _pair_powers(n, rngs, cfg.p_grid)
     table = _gauge_table(gauges, spectra)
     cases = _Cases(n, idx, _fields(lambda j: dict(x=x[j], y=y[j])))
     for p in cfg.p_grid:
@@ -554,10 +545,6 @@ def _lemma53(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     return cases
 
 
-def _smooth_convex_gauges(cfg: SuiteConfig):
-    return tuple((s, g) for s, g in cfg.parsed_gauges() if g.smooth)
-
-
 def _by_canonical(gauges, solve):
     """``(gs, solve(g))`` for each gauge in order, solving once per canonical
     form: the solvers and maps read nothing of a descriptor but that form."""
@@ -570,7 +557,7 @@ def _by_canonical(gauges, solve):
 
 
 def _lemma54(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
-    gauges = _smooth_convex_gauges(cfg)
+    gauges = [(gs, g) for gs, g in cfg.parsed_gauges() if g.smooth]
 
     def body(rho1, other, t):
         rho2 = (1.0 - t) * rho1 + t * other
@@ -590,7 +577,7 @@ def _lemma54(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
 
 
 def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
-    gauges = _smooth_convex_gauges(cfg)
+    gauges = [(gs, g) for gs, g in cfg.parsed_gauges() if g.smooth]
 
     def body(rho, spectrum, frame, u2, v2, tvals, u3, v3):
         tvals = tvals / tvals.sum()

@@ -650,11 +650,12 @@ def test_unwritable_out_is_usage_error(mat_file, tmp_path, capsys, monkeypatch):
         (["modulus", "Gp", "--gauge", "lp:1", "--out", "new1/x"], 2),
         (["modulus", "FX", "--gauge", "kyfan:1", "--out", "new2/x"], 4),
         (["modulus", "Gp", "--gauge", "lp:1", "--p", "inf", "--out", "new3/x"], 2),
+        (["modulus", "FX_inv", "--gauge", "lp:1e308", "--dims", "2", "--samples", "3", "--out", "new4/x"], 3),
     ],
 )
 def test_refused_modulus_call_leaves_no_directory(tmp_path, monkeypatch, capsys, argv, code):
-    # a missing, unread or non-finite p and a non-smooth gauge are refused
-    # before the output directory is made
+    # a missing, unread or non-finite p, a non-smooth gauge and a bound that
+    # overflows are refused before the output directory is made
     monkeypatch.chdir(tmp_path)
     assert main([*argv, *TS]) == code
     assert "Traceback" not in capsys.readouterr().err

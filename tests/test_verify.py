@@ -1,7 +1,9 @@
 """Verification harness: suite runner, determinism, sampling, modulus."""
 
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -420,14 +422,21 @@ def test_modulus_counts_violations_of_a_stretched_map(monkeypatch):
         assert estimate_modulus(name, SMALL, parse_gauge("lp:2")).bound_violations > 0, name
 
 
-def test_modulus_vanishes_at_zero_distance():
-    # a deterministic map sends identical inputs to identical outputs; the
-    # identical-pair checks inside the profiler count any nonzero image
-    # distance as a bound violation, and none occur
-    a = sampling.psd([make_rng(0, "zero")], 3)[0]
-    out1 = mazur_forward(a, 3.0)
-    out2 = mazur_forward(a, 3.0)
-    assert np.array_equal(out1, out2)
+def test_modulus_vanishes_at_zero_distance(monkeypatch):
+    # every eighth pair is two identical inputs, and the profiler counts any
+    # nonzero distance between their images as a bound violation: a map that
+    # moves every other image by two ulps fails exactly those pairs, and no
+    # other (the unpatched map's 0 is asserted in the Gp envelope test)
+    calls = itertools.count()
+
+    def jittered(a, p):
+        out = mazur_forward(a, p)
+        return out * (1.0 + 4e-16) if next(calls) % 2 else out
+
+    monkeypatch.setattr(modulus_mod, "mazur_forward", jittered)
+    cfg = SuiteConfig(seed=1, dims=(2, 3), samples_per_case=20)
+    prof = estimate_modulus("Gp", cfg, parse_gauge("lp:1"), p=3.0)
+    assert prof.bound_violations == len(cfg.dims) * math.ceil(20 / 8)
 
 
 def test_modulus_config_errors():
