@@ -25,11 +25,12 @@ a state as it stands, any other ``a = u |a|`` as ``u σ(|a|)``.
 
 Each map diagonalises its input once and checks the input's norm on that
 spectrum: ``entropy_min_mat`` by ``check_state`` (or takes the result of an
-earlier ``check_state`` of the same state), ``entropy_min_general`` so too
-for a state and otherwise by the polar SVD and the ``eigh`` of the modulus
-(``check_state`` refuses it before its own ``eigh`` unless it is Hermitian
-of unit trace), ``norming_state`` by one ``eigh`` for PSD input and
-otherwise by the polar SVD and one ``eigh``.
+earlier ``check_state`` of the same state), ``entropy_min_general`` by
+``_check_general`` (or takes its earlier result): so too for a state, and
+otherwise by the polar SVD and the ``eigh`` of the modulus (``check_state``
+refuses it before its own ``eigh`` unless it is Hermitian of unit trace),
+``norming_state`` by one ``eigh`` for PSD input and otherwise by the polar
+SVD and one ``eigh``.
 
 ``entropy_min_bruteforce`` is a deliberately independent grid-search oracle
 (diagonal states, dimension <= 3) used to cross-check the solver: it calls
@@ -97,6 +98,14 @@ class _CheckedState(NamedTuple):
 
     lam: np.ndarray
     w: np.ndarray
+
+
+class _CheckedGeneral(NamedTuple):
+    """A trace-norm-one matrix ``u |a|`` as validated by :func:`_check_general`,
+    which alone builds it: ``isometry`` is None for a state."""
+
+    isometry: np.ndarray | None
+    state: _CheckedState
 
 
 def check_state(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -393,27 +402,37 @@ def entropy_min_mat(g: Gauge, rho) -> EntropyMinReport:
     )
 
 
+def _check_general(a) -> _CheckedGeneral:
+    """A state as :func:`check_state` validates it; any other ``a = u |a|``
+    as ``u`` and the state ``|a|``, once its trace, the trace norm of ``a``,
+    is checked."""
+    try:
+        return _CheckedGeneral(None, check_state(a))
+    except NotState:
+        pass
+    parts = polar(a)
+    tn = float(np.trace(parts.modulus).real)
+    if abs(tn - 1.0) > 1e-9:
+        raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
+    return _CheckedGeneral(parts.isometry, check_state(parts.modulus / tn))
+
+
 def entropy_min_general(g: Gauge, a) -> EntropyMinReport:
     """The minimization on the whole trace-norm sphere, with its report.
 
     A state is minimized as it stands.  Any other ``a = u |a|`` maps to
     ``u @ entropy_min_mat(g, |a|)``, whose report it returns with that
-    minimizer: ``|a|`` is a state once its trace, the trace norm of ``a``,
-    is checked, and the minimizer's support stays inside that of ``|a|``,
-    so the partial isometry loses nothing.
+    minimizer: ``|a|`` is a state once its trace norm is checked, and the
+    minimizer's support stays inside that of ``|a|``, so the partial
+    isometry loses nothing.
+
+    ``a`` may also be what :func:`_check_general` returned for it, which
+    gives the same bits without a second validation and decomposition, so
+    a matrix minimized over several gauges is decomposed once.
     """
-    try:
-        state = check_state(a)
-    except NotState:
-        pass
-    else:
-        return entropy_min_mat(g, state)
-    parts = polar(a)
-    tn = float(np.trace(parts.modulus).real)
-    if abs(tn - 1.0) > 1e-9:
-        raise NotUnitTraceNorm(f"input must have unit trace norm, got {tn!r}")
-    rep = entropy_min_mat(g, parts.modulus / tn)
-    return replace(rep, minimizer=parts.isometry @ rep.minimizer)
+    isometry, state = a if isinstance(a, _CheckedGeneral) else _check_general(a)
+    rep = entropy_min_mat(g, state)
+    return rep if isometry is None else replace(rep, minimizer=isometry @ rep.minimizer)
 
 
 def norming_state(g: Gauge, a) -> np.ndarray:

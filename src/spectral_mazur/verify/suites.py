@@ -21,8 +21,13 @@ parameters, then the sample's fields.  ``fan_dominance`` (its label names a
 sample's variant) and the per-sample suites (a ``roundtrip`` payload matrix
 differs per gauge) describe their cases themselves.
 
-Blocks: the samples of each dimension are cut into blocks of at most
-``_BLOCK_SAMPLES`` indices, and a worker evaluates one block.  A suite draws
+Blocks: the samples of dimension n are cut into blocks of
+``_block_samples(n)`` consecutive indices, and a worker evaluates one block.
+A block holds as many samples as fit ``_BLOCK_ENTRIES = MAX_DIM ** 2``
+matrix entries, and at least one: 1 024 at n = 2, 64 at n = 8, one at
+n = 64.  So each stacked array of one matrix per sample holds at most one
+``MAX_DIM`` matrix's entries, and a suite's memory stays bounded at every
+dimension and sample count.  A suite draws
 the whole block through the stacked samplers of ``sampling``, which give
 every generator the calls it would get alone; draws that depend on a
 sample's variant go by variant group.  It runs LAPACK, matmul and
@@ -35,7 +40,8 @@ positive strides only (see ``_desc``).  ``lemma54``, ``roundtrip`` and
 ``mazur_entropy`` draw their block the same way but then solve sample by
 sample (``_per_sample``), because their solvers take one matrix at a time;
 they solve once per canonical gauge (or exponent), and each sampled state is
-validated and diagonalised once by ``check_state``, whose result every solve
+validated and diagonalised once by ``check_state`` (``roundtrip``'s
+``general_trace`` by ``entropy._check_general``), whose result every solve
 of that state takes in place of the matrix.  Blocks are merged in index
 order, which keeps cases and violations in sample order, so the report bytes
 do not depend on the number of threads.
@@ -49,13 +55,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..entropy import check_state, entropy_min_general, entropy_min_mat, norming_state, rel_entropy
+from ..entropy import _check_general, check_state, entropy_min_general, entropy_min_mat, norming_state, rel_entropy
 from ..errors import NumericalFailure, UnknownSuite
 from ..gauge import Lp, _canonical_form, _format_exponent, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, _adj, matrix_to_json
 from ..mazur import _svd_powers
 from . import sampling
-from .config import SuiteConfig, SuiteReport, Violation
+from .config import MAX_DIM, SuiteConfig, SuiteReport, Violation
 
 __all__ = ["SUITE_NAMES", "CORE_SUITE_NAMES", "run_inequality_suite"]
 
@@ -63,8 +69,9 @@ __all__ = ["SUITE_NAMES", "CORE_SUITE_NAMES", "run_inequality_suite"]
 _STATE_SIDE_TOL = 1e-6  # minimize-then-map direction, certified by the solver
 _SPHERE_SIDE_TOL = 1e-5  # map-then-minimize direction, limited by eigh noise
 
-# samples per block: bounds the stacked arrays at MAX_DIM for any sample count
-_BLOCK_SAMPLES = 64
+# matrix entries per block: a stacked array of one matrix per sample holds
+# no more than one MAX_DIM matrix, whatever the dimension and sample count
+_BLOCK_ENTRIES = MAX_DIM**2
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +589,7 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     def body(rho, spectrum, frame, u2, v2, tvals, u3, v3):
         tvals = tvals / tvals.sum()
         general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
-        st = check_state(rho)
+        st, st_t = check_state(rho), _check_general(general_trace)
 
         def solve(g):
             """``(part, lhs, rhs, payload fields)`` of the four round trips."""
@@ -593,7 +600,7 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
             back = norming_state(g, entropy_min_mat(g, st).minimizer)
             back_a = entropy_min_mat(g, norming_state(g, psd_unit)).minimizer
             back_b = entropy_min_general(g, norming_state(g, general_unit)).minimizer
-            back_t = norming_state(g, entropy_min_general(g, general_trace).minimizer)
+            back_t = norming_state(g, entropy_min_general(g, st_t).minimizer)
             return (
                 ("state-roundtrip", _l1_herm(back - rho), _STATE_SIDE_TOL, dict(rho=rho)),
                 ("sphere-roundtrip", _l1_herm(back_a - psd_unit), _SPHERE_SIDE_TOL, dict(A=psd_unit)),
@@ -686,12 +693,27 @@ def _block(name: str, cfg: SuiteConfig, n: int, idx: range) -> _Cases:
         raise NumericalFailure(f"suite {name} dim={n}: {exc}") from exc
 
 
+def _block_samples(n: int) -> int:
+    """Samples per block at dimension n: as many n-by-n matrices as fit
+    ``_BLOCK_ENTRIES`` entries, and at least one."""
+    return max(1, _BLOCK_ENTRIES // (n * n))
+
+
+def _jobs(cfg: SuiteConfig) -> list[tuple[int, range]]:
+    """The blocks ``(n, indices)`` of a run, dimension by dimension, in index order."""
+    count = cfg.samples_per_case
+    jobs = []
+    for n in cfg.dims:
+        size = _block_samples(n)
+        jobs += [(n, range(lo, min(lo + size, count))) for lo in range(0, count, size)]
+    return jobs
+
+
 def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> SuiteReport:
     """Run one registered suite; the report is independent of ``threads``."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
-    count = cfg.samples_per_case
-    jobs = [(n, range(lo, min(lo + _BLOCK_SAMPLES, count))) for n in cfg.dims for lo in range(0, count, _BLOCK_SAMPLES)]
+    jobs = _jobs(cfg)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return _merge(name, cfg, pool.map(lambda job: _block(name, cfg, *job), jobs))

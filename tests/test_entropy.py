@@ -840,10 +840,8 @@ def test_a_suite_sample_diagonalises_each_sampled_state_once(monkeypatch, suite)
 BLOCK_SVDS = {"schur": 4, "mazur_entropy": 3}
 
 
-@pytest.mark.parametrize("suite", sorted(set(suites_mod.SUITE_NAMES) - {"roundtrip"}))
+@pytest.mark.parametrize("suite", sorted(suites_mod.SUITE_NAMES))
 def test_a_block_decomposes_no_input_twice(monkeypatch, suite):
-    # roundtrip still takes the polar decomposition of its general_trace
-    # once per canonical gauge
     cfg = SuiteConfig(seed=1, dims=(4,), samples_per_case=3)
     calls = _LinalgCalls(monkeypatch)
     suites_mod._block(suite, cfg, 4, range(3))

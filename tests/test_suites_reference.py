@@ -28,6 +28,7 @@ where the suites draw whole blocks through the stacked ones.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from spectral_mazur import (
 )
 from spectral_mazur.verify import dumps_json, sampling
 from spectral_mazur.verify import suites as suites_mod
-from spectral_mazur.verify.config import SuiteReport, Violation
+from spectral_mazur.verify.config import MAX_DIM, SuiteReport, Violation
 from spectral_mazur.matnorm import _eigh_psd, as_matrix, matrix_to_json
 
 import _reference_maps as ref_maps
@@ -651,10 +652,19 @@ CONFIGS = {
 ENTROPY_CONFIGS = {key: dataclasses.replace(cfg, samples_per_case=2) for key, cfg in CONFIGS.items()}
 
 
-def _assert_reference_bytes(monkeypatch, name, cfg, blocks=(1, 7, suites_mod._BLOCK_SAMPLES)):
+_BLOCK_RULE = suites_mod._block_samples
+
+
+def _cut(monkeypatch, block):
+    """Cut runs into blocks of ``block`` samples, or by the suites' entry
+    rule when ``block`` is None."""
+    monkeypatch.setattr(suites_mod, "_block_samples", _BLOCK_RULE if block is None else lambda n: block)
+
+
+def _assert_reference_bytes(monkeypatch, name, cfg, blocks=(1, 7, None)):
     want = dumps_json(_reference_report(name, cfg).to_json())
     for block in blocks:
-        monkeypatch.setattr(suites_mod, "_BLOCK_SAMPLES", block)
+        _cut(monkeypatch, block)
         for threads in (1, 4):
             got = dumps_json(run_inequality_suite(name, cfg, threads=threads).to_json())
             assert got == want, (block, threads)
@@ -689,21 +699,19 @@ def test_every_case_equals_the_reference_case(name):
         assert payloads == [dumps_json(c[3]()) for c in cases], n
 
 
-def _case_bytes(name, cfg, size):
+def _case_bytes(monkeypatch, name, cfg, size):
     """Every case's ``lhs`` and ``rhs`` and every recorded value, as bytes,
-    from blocks of at most ``size`` samples cut as ``run_inequality_suite``
-    cuts them."""
-    count = cfg.samples_per_case
+    from the blocks ``run_inequality_suite`` runs when ``_cut`` by ``size``."""
+    _cut(monkeypatch, size)
     lhs, rhs, records = [], [], {}
-    for n in cfg.dims:
-        for lo in range(0, count, size):
-            block = suites_mod._block(name, cfg, n, range(lo, min(lo + size, count)))
-            sides = block.sides()
-            lhs.append(sides[0])
-            rhs.append(sides[1])
-            # record k of a block holds its samples' values of one (key, case kind)
-            for k, (key, values) in enumerate(block.records):
-                records.setdefault((n, k, key), []).append(values)
+    for n, idx in suites_mod._jobs(cfg):
+        block = suites_mod._block(name, cfg, n, idx)
+        sides = block.sides()
+        lhs.append(sides[0])
+        rhs.append(sides[1])
+        # record k of a block holds its samples' values of one (key, case kind)
+        for k, (key, values) in enumerate(block.records):
+            records.setdefault((n, k, key), []).append(values)
     return (
         np.concatenate(lhs).tobytes(),
         np.concatenate(rhs).tobytes(),
@@ -712,15 +720,43 @@ def _case_bytes(name, cfg, size):
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
-def test_every_case_is_the_same_bits_in_blocks_of_any_size(name):
+def test_every_case_is_the_same_bits_in_blocks_of_any_size(monkeypatch, name):
     # the report keeps only the worst ratio, so compare every case and every
     # recorded value; a power taken on a reversed view, which numpy sends to
     # its scalar loop, gives other bits than on a copy
     for seed in (1, 2, 3):
         cfg = SuiteConfig(seed=seed, dims=DIMS, samples_per_case=9, rel_tol=0.0, abs_tol=0.0)
-        want = _case_bytes(name, cfg, suites_mod._BLOCK_SAMPLES)
+        want = _case_bytes(monkeypatch, name, cfg, None)
         for size in (1, 7):
-            assert _case_bytes(name, cfg, size) == want, (seed, size)
+            assert _case_bytes(monkeypatch, name, cfg, size) == want, (seed, size)
+
+
+def test_a_block_holds_at_most_one_max_dim_matrix_of_entries():
+    assert {n: suites_mod._block_samples(n) for n in (64, 32, 16, 8, 2)} == {64: 1, 32: 4, 16: 16, 8: 64, 2: 1024}
+    cfg = SuiteConfig(seed=1, dims=(64, 16, 2, 3, 33), samples_per_case=1100)
+    jobs = suites_mod._jobs(cfg)
+    for n in cfg.dims:
+        blocks = [idx for m, idx in jobs if m == n]
+        # every sample in exactly one block, in index order
+        assert [i for idx in blocks for i in idx] == list(range(cfg.samples_per_case)), n
+        assert all(len(idx) * n * n <= MAX_DIM**2 or len(idx) == 1 for idx in blocks), n
+        assert {len(idx) for idx in blocks[:-1]} == {suites_mod._block_samples(n)}, n
+    assert {len(idx) for m, idx in jobs if m == 64} == {1}
+    assert {len(idx) for m, idx in jobs if m == 16} == {16, 1100 % 16}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_a_block_suite_at_max_dim_traces_under_4_mb(name):
+    # blocks cut by entries, not samples, keep the stacked arrays of a
+    # MAX_DIM run near one matrix per sample array
+    cfg = SuiteConfig(seed=1, dims=(MAX_DIM,), samples_per_case=8)
+    tracemalloc.start()
+    try:
+        run_inequality_suite(name, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 class _Wide(np.random.Generator):
@@ -748,8 +784,8 @@ def test_every_block_worker_has_a_reference():
 @pytest.mark.parametrize("name", sorted(ENTROPY_REFERENCE))
 @pytest.mark.parametrize("seed,tol", sorted(ENTROPY_CONFIGS))
 def test_entropy_suites_give_the_reference_report_bytes(monkeypatch, name, seed, tol):
-    # blocks of one sample, on one thread and on four; the default block
-    # size is run by the violation test below
+    # blocks of one sample, on one thread and on four; the entry rule is
+    # run by the violation test below
     _assert_reference_bytes(monkeypatch, name, ENTROPY_CONFIGS[seed, tol], blocks=(1,))
 
 
@@ -760,7 +796,7 @@ def test_entropy_suite_violations_give_the_reference_bytes(monkeypatch, name):
     monkeypatch.setattr(suites_mod, "_STATE_SIDE_TOL", 0.0)
     monkeypatch.setattr(suites_mod, "_SPHERE_SIDE_TOL", 0.0)
     cfg = ENTROPY_CONFIGS[1, 0.0]
-    text = _assert_reference_bytes(monkeypatch, name, cfg, blocks=(suites_mod._BLOCK_SAMPLES,))
+    text = _assert_reference_bytes(monkeypatch, name, cfg, blocks=(None,))
     assert len(json.loads(text)["violations"]) > 0
 
 
