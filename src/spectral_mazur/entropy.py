@@ -68,16 +68,7 @@ from .gauge import (
     eval_gauge_rows,
     format_gauge,
 )
-from .matnorm import (
-    _EPS,
-    _adj,
-    _as_matrices,
-    _eigh_psd,
-    _first,
-    _psd_or_polar,
-    as_matrix,
-    polar,
-)
+from .matnorm import _EPS, _adj, _as_matrices, _eigh_psd, _first, _psd_or_polar, _rebuild, as_matrix, polar
 
 __all__ = [
     "EntropyMinReport",
@@ -390,8 +381,7 @@ def entropy_min_mat(g: Gauge, rho) -> EntropyMinReport:
     lam, w = rho if isinstance(rho, _CheckedState) else check_state(rho)
     r = lam / lam.sum()
     y, residual, iters = _solve_seq(g, r)
-    sigma = (w * y) @ w.conj().T
-    sigma = 0.5 * (sigma + sigma.conj().T)
+    sigma = _rebuild(w, y, herm=True)
     pos = y > 0.0
     objective = float(np.sum(r[pos] * np.log(r[pos] / y[pos])))
     return EntropyMinReport(
@@ -451,8 +441,7 @@ def norming_state(g: Gauge, a) -> np.ndarray:
     if abs(nrm - 1.0) > 1e-9:
         raise NotUnitNorm(f"input must have unit gauge norm, got {nrm!r}")
     j = duality_map_seq(g, lam)
-    core = (w * (j * lam)) @ w.conj().T
-    core = 0.5 * (core + core.conj().T)
+    core = _rebuild(w, j * lam, herm=True)
     return core if isometry is None else isometry @ core
 
 

@@ -6,7 +6,8 @@ hosts the spectral machinery those norms need: singular values, the polar
 decomposition with a partial-isometry convention, the clamped
 eigendecomposition of positive semidefinite matrices, and the matrix duality
 map obtained by conjugating the sequence-level map into the eigenbasis of
-``|A|``.
+``|A|``.  Every eigen- and singular-value decomposition of the package is
+made here, through ``_lapack``, by helpers that also take stacks.
 
 Matrices are plain ``numpy`` arrays of shape ``(n, n)`` and dtype complex.
 The JSON wire format is ``{"dim": n, "data": [[[re, im], ...], ...]}`` with
@@ -75,14 +76,57 @@ def _first(values, mask) -> float:
     return float(np.asarray(values)[np.asarray(mask)].flat[0])
 
 
+def _lapack(routine, m: np.ndarray, **kw):
+    """``routine(m, **kw)`` for a ``numpy.linalg`` decomposition; a LAPACK
+    failure is a :class:`NumericalFailure`."""
+    try:
+        return routine(m, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{routine.__name__} failed: {exc}") from exc
+
+
+def _desc(v: np.ndarray) -> np.ndarray:
+    """Rows sorted descending, as a copy with positive strides: numpy picks
+    its scalar or SIMD pow loop by stride, and the two differ in the last
+    bit, so a reversed view would power a row differently in another block."""
+    return np.sort(np.asarray(v, dtype=float), axis=-1)[..., ::-1].copy()
+
+
+def _svals(m: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or stack, descending."""
+    return _lapack(np.linalg.svd, m, compute_uv=False)
+
+
+def _habs(h: np.ndarray) -> np.ndarray:
+    """Singular values of a Hermitian matrix or stack: |eigenvalues|, descending."""
+    return _desc(np.abs(_lapack(np.linalg.eigvalsh, h)))
+
+
+def _psd_spectrum(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a PSD matrix or stack, clipped at 0, descending."""
+    return _desc(np.clip(_lapack(np.linalg.eigvalsh, h), 0.0, None))
+
+
+def _l1_herm(h: np.ndarray) -> float:
+    """Trace norm of a Hermitian matrix: |eigenvalues| summed in ascending order."""
+    return float(np.abs(_lapack(np.linalg.eigvalsh, h)).sum())
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvectors of a Hermitian matrix or stack."""
+    return _lapack(np.linalg.eigh, h)
+
+
+def _rebuild(w: np.ndarray, f: np.ndarray, herm: bool = False) -> np.ndarray:
+    """``w diag(f) w†`` for a matrix or stack ``w`` and its rows ``f``; with
+    ``herm``, the Hermitian part ``(x + x†) / 2`` of that product ``x``."""
+    x = (w * f[..., None, :]) @ _adj(w)
+    return 0.5 * (x + _adj(x)) if herm else x
+
+
 def singular_values(a) -> np.ndarray:
     """Singular values in descending order (always nonnegative)."""
-    m = as_matrix(a)
-    try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
-    return np.clip(s, 0.0, None)
+    return np.clip(_svals(as_matrix(a)), 0.0, None)
 
 
 def norm_ui(g: Gauge, a) -> float:
@@ -117,16 +161,33 @@ def polar(a) -> PolarParts:
     """
     m = as_matrix(a)
     n = m.shape[0]
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
-    modulus = (vh.conj().T * s) @ vh
-    modulus = 0.5 * (modulus + modulus.conj().T)
+    u, s, vh = _lapack(np.linalg.svd, m)
+    modulus = _rebuild(_adj(vh), s, herm=True)
     cutoff = n * _EPS * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     isometry = u[:, :rank] @ vh[:rank, :]
     return PolarParts(isometry=isometry, modulus=modulus)
+
+
+def _svd_powers(a, exponents) -> list[np.ndarray]:
+    """``u |a|^e`` for each exponent ``e``, computed as ``U diag(s^e) V†`` from one SVD.
+
+    Equal to composing the polar decomposition with a PSD power: the polar
+    isometry differs from the full unitary only off the support of ``|a|``,
+    where ``|a|^e`` vanishes, so the value is unchanged.  Powering the
+    singular values directly keeps tiny ones at full relative accuracy, which
+    the forward/inverse roundtrip depends on.  Every power reads the same
+    decomposition, so each gets the bits a call with it alone would give.
+    Powers that overflow, and singular values the SVD could not represent,
+    raise :class:`NumericalFailure` before any product is formed.
+    """
+    u, s, vh = _lapack(np.linalg.svd, as_matrix(a))
+    with np.errstate(over="ignore"):
+        powers = [s**e for e in exponents]
+    for e, x in zip(exponents, powers):
+        if not np.isfinite(x).all():
+            raise NumericalFailure(f"power {e!r} of the largest singular value {float(s[0])!r} is not finite")
+    return [(u * x) @ vh for x in powers]
 
 
 def _eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,10 +202,7 @@ def _eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = herm_err > 1e-10 * scale
     if bad.any():
         raise NotPositive(f"matrix is not Hermitian (asymmetry {_first(herm_err, bad):.3e})")
-    try:
-        lam, w = np.linalg.eigh(0.5 * (m + mh))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"eigh failed: {exc}") from exc
+    lam, w = _eigh(0.5 * (m + mh))
     lam_max = np.where(lam[..., -1] > 0, lam[..., -1], 0.0)
     low = lam[..., 0] < -n * _EPS * lam_max - 10 * _EPS * scale
     if low.any():
@@ -165,8 +223,7 @@ def duality_map_mat(g: Gauge, a) -> np.ndarray:
     if not np.any(np.abs(m) > 0.0):
         raise ZeroMatrix("duality map undefined at the zero matrix")
     lam, w, isometry = _psd_or_polar(m)
-    j = (w * duality_map_seq(g, lam)) @ w.conj().T
-    j = 0.5 * (j + j.conj().T)
+    j = _rebuild(w, duality_map_seq(g, lam), herm=True)
     return j if isometry is None else j @ isometry.conj().T
 
 

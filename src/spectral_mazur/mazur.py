@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .errors import GaugeParseError, NumericalFailure
+from .errors import GaugeParseError
 from .gauge import _check_exponent
-from .matnorm import as_matrix
+from .matnorm import _svd_powers
 
 __all__ = ["mazur_forward", "mazur_inverse"]
 
@@ -30,31 +30,6 @@ def _check_power(p) -> float:
     if math.isinf(p):
         raise GaugeParseError(f"Mazur map exponent must be finite, got {p}")
     return p
-
-
-def _svd_powers(a, exponents) -> list[np.ndarray]:
-    """``u |a|^e`` for each exponent ``e``, computed as ``U diag(s^e) V†`` from one SVD.
-
-    Equal to composing the polar decomposition with a PSD power: the polar
-    isometry differs from the full unitary only off the support of ``|a|``,
-    where ``|a|^e`` vanishes, so the value is unchanged.  Powering the
-    singular values directly keeps tiny ones at full relative accuracy, which
-    the forward/inverse roundtrip depends on.  Every power reads the same
-    decomposition, so each gets the bits a call with it alone would give.
-    Powers that overflow, and singular values the SVD could not represent,
-    raise :class:`NumericalFailure` before any product is formed.
-    """
-    m = as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
-    with np.errstate(over="ignore"):
-        powers = [s**e for e in exponents]
-    for e, x in zip(exponents, powers):
-        if not np.isfinite(x).all():
-            raise NumericalFailure(f"power {e!r} of the largest singular value {float(s[0])!r} is not finite")
-    return [(u * x) @ vh for x in powers]
 
 
 def mazur_forward(a, p) -> np.ndarray:

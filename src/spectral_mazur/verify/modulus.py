@@ -40,10 +40,10 @@ import numpy as np
 from ..entropy import entropy_min_general, norming_state
 from ..errors import ConfigError, NotSmooth, NumericalFailure
 from ..gauge import Gauge, Lp, _canonical_form, convexify, eval_gauge, format_gauge
+from ..matnorm import _habs
 from ..mazur import _check_power, mazur_forward, mazur_inverse
 from . import sampling
 from .config import SuiteConfig, _fields_json
-from .suites import _habs
 
 __all__ = ["MAP_NAMES", "ModulusProfile", "estimate_modulus"]
 

@@ -12,12 +12,13 @@ dimension n, with one generator per sample in ``rngs``.  The runner
 (``_block``) owns what every suite shares.  It keys each generator by
 ``(seed, suite name, n, index)`` and never by the block, so neither the
 block size nor the number of threads can change what a sample is.  It turns
-a floating-point error or a failed LAPACK call into
-:class:`NumericalFailure`.  ``_Cases.case`` puts ``dim={n} i={index}`` in
-front of each label and ``dim``, ``index`` in front of each payload.  A
-suite keys each case kind by ``(label tail, parameters)`` and states its
-samples' payload fields once per block (``_fields``): a payload is the
-parameters, then the sample's fields.  ``fan_dominance`` (its label names a
+a floating-point error into :class:`NumericalFailure`, and names the suite
+and dimension in every numerical failure, a failed LAPACK call among them.
+``_Cases.case`` puts ``dim={n} i={index}`` in front of each label and
+``dim``, ``index`` in front of each payload.  A suite keys each case kind
+by ``(label tail, parameters)`` and states its samples' payload fields once
+per block (``_fields``): a payload is the parameters, then the sample's
+fields.  ``fan_dominance`` (its label names a
 sample's variant) and the per-sample suites (a ``roundtrip`` payload matrix
 differs per gauge) describe their cases themselves.
 
@@ -50,6 +51,7 @@ do not depend on the number of threads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -58,8 +60,7 @@ import numpy as np
 from ..entropy import _check_general, check_state, entropy_min_general, entropy_min_mat, norming_state, rel_entropy
 from ..errors import NumericalFailure, UnknownSuite
 from ..gauge import Lp, _canonical_form, _format_exponent, eval_gauge, eval_gauge_rows
-from ..matnorm import _EPS, _adj, matrix_to_json
-from ..mazur import _svd_powers
+from ..matnorm import _EPS, _desc, _eigh, _eigh_psd, _habs, _l1_herm, _psd_spectrum, _rebuild, _svals, _svd_powers, matrix_to_json, trace_norm
 from . import sampling
 from .config import MAX_DIM, SuiteConfig, SuiteReport, Violation
 
@@ -75,32 +76,8 @@ _BLOCK_ENTRIES = MAX_DIM**2
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers; each takes one matrix or a stack of them
-
-
-def _desc(v: np.ndarray) -> np.ndarray:
-    """Rows sorted descending, as a copy with positive strides: numpy picks
-    its scalar or SIMD pow loop by stride, and the two differ in the last
-    bit, so a reversed view would power a row differently in another block."""
-    return np.sort(np.asarray(v, dtype=float), axis=-1)[..., ::-1].copy()
-
-
-def _svals(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def _habs(h: np.ndarray) -> np.ndarray:
-    """Singular values of a Hermitian matrix: |eigenvalues|, descending."""
-    return _desc(np.abs(np.linalg.eigvalsh(h)))
-
-
-def _eigh_clip(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lam, w = np.linalg.eigh(m)
-    return np.clip(lam, 0.0, None), w
-
-
-def _power(lam: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    return (w * (lam**p)[..., None, :]) @ _adj(w)
+# spectral helpers; each takes one matrix or a stack of them, and decomposes
+# it through ``matnorm``
 
 
 def _gauge_table(gauges, spectra: dict) -> dict:
@@ -135,23 +112,15 @@ def _root(values: np.ndarray, p: float) -> np.ndarray:
     return values ** (1.0 / p)
 
 
-def _l1_herm(h: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
-
-
-def _l1_gen(m: np.ndarray) -> float:
-    return float(_svals(m).sum())
-
-
 def _psd_log(m: np.ndarray) -> np.ndarray:
     """Matrix log of (numerically) positive definite Hermitian matrices.
 
     Eigenvalues are floored at the clamp tolerance so that round-off dust on
     a mathematically positive spectrum cannot produce a NaN.
     """
-    lam, w = np.linalg.eigh(m)
+    lam, w = _eigh_psd(m)
     floor = np.maximum(lam.shape[-1] * _EPS * lam[..., -1:], 1e-300)
-    return (w * np.log(np.clip(lam, floor, None))[..., None, :]) @ _adj(w)
+    return _rebuild(w, np.log(np.clip(lam, floor, None)))
 
 
 def _pick(rngs: list, rows: np.ndarray) -> list:
@@ -345,11 +314,11 @@ def _pair_powers(n: int, rngs: list, exponents) -> tuple[np.ndarray, np.ndarray,
     """The block's PSD pair x, y and, per exponent e, the spectra ``("pow", e)`` of x^e - y^e
     and ``("diff" | "x" | "y", e)``, the e-th powers of the descending spectra of x - y, x, y."""
     x, y = sampling.psd(rngs, n), sampling.psd(rngs, n)
-    (lx, wx), (ly, wy) = _eigh_clip(x), _eigh_clip(y)
+    (lx, wx), (ly, wy) = _eigh_psd(x), _eigh_psd(y)
     desc = {"diff": _habs(x - y), "x": _desc(lx), "y": _desc(ly)}
     spectra = {}
     for e in exponents:
-        spectra["pow", e] = _habs(_power(lx, wx, e) - _power(ly, wy, e))
+        spectra["pow", e] = _habs(_rebuild(wx, lx**e) - _rebuild(wy, ly**e))
         spectra.update({(name, e): d**e for name, d in desc.items()})
     return x, y, spectra
 
@@ -407,12 +376,12 @@ def _lemma44(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     if not split.all():
         x[~split] = sampling.psd(_pick(rngs, ~split), n)
     b = _contraction(rngs, n, variants)
-    lx, wx = _eigh_clip(x)
+    lx, wx = _eigh_psd(x)
     lxd = _desc(lx)
     s1 = _svals(x @ b - b @ x)
     spectra = {}
     for p in cfg.p_grid:
-        xp = _power(lx, wx, p)
+        xp = _rebuild(wx, lx**p)
         spectra["comm", p] = _svals(xp @ b - b @ xp)
         spectra["s1", p] = s1**p
         spectra["x", p] = lxd**p
@@ -437,15 +406,15 @@ def _lemma45(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         y[drawn] = sampling.psd(_pick(rngs, drawn), n)
     b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
     opb = _svals(b)[:, 0]
-    lx, wx = _eigh_clip(x)
+    lx, wx = _eigh_psd(x)
     ly, wy = lx.copy(), wx.copy()
     if drawn.any():  # only the drawn y need their own decomposition
-        ly[drawn], wy[drawn] = _eigh_clip(y[drawn])
+        ly[drawn], wy[drawn] = _eigh_psd(y[drawn])
     desc = {"both": _desc(np.concatenate([lx, ly], axis=-1)), "x": _desc(lx), "y": _desc(ly)}
     s0 = _svals(x @ b + b @ y)
     spectra = {}
     for p in cfg.p_grid:
-        spectra["m1", p] = _svals(_power(lx, wx, p) @ b + b @ _power(ly, wy, p))
+        spectra["m1", p] = _svals(_rebuild(wx, lx**p) @ b + b @ _rebuild(wy, ly**p))
         spectra["s0", p] = s0**p
         spectra.update({(name, p): d**p for name, d in desc.items()})
     table = _gauge_table(gauges, spectra)
@@ -471,15 +440,15 @@ def _schur(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
     a, b, xmat = sampling.psd(rngs, n), sampling.psd(rngs, n), sampling.ginibre(rngs, n)
-    la, wa = _eigh_clip(a)
-    lb, wb = _eigh_clip(b)
+    la, wa = _eigh_psd(a)
+    lb, wb = _eigh_psd(b)
     spectra = {"ref": _svals(a @ xmat + xmat @ b)}
     # alpha and 1 - alpha share one sum: 1 - alpha is exact on the grid,
     # and the two terms only trade places, which IEEE addition ignores
     pair = {alpha: min(alpha, 1.0 - alpha) for alpha in alphas}
     for alpha in sorted(set(pair.values())):
-        left = _power(la, wa, 1.0 - alpha) @ xmat @ _power(lb, wb, alpha)
-        right = _power(la, wa, alpha) @ xmat @ _power(lb, wb, 1.0 - alpha)
+        left = _rebuild(wa, la ** (1.0 - alpha)) @ xmat @ _rebuild(wb, lb**alpha)
+        right = _rebuild(wa, la**alpha) @ xmat @ _rebuild(wb, lb ** (1.0 - alpha))
         spectra[alpha] = _svals(left + right)
     table = _gauge_table(gauges, spectra)
     cases = _Cases(n, idx, _fields(lambda j: dict(A=a[j], B=b[j], X=xmat[j])))
@@ -493,12 +462,12 @@ def _lemma47(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = cfg.parsed_gauges()
     x = sampling.hermitian(rngs, n)
     b = _contraction(rngs, n, [int(rng.integers(3)) for rng in rngs])
-    e, wx = np.linalg.eigh(x)
+    e, wx = _eigh(x)
     eabs = _desc(np.abs(e))
     s1 = _svals(x @ b - b @ x)
     spectra = {}
     for p in cfg.p_grid:
-        gp = (wx * (np.sign(e) * np.abs(e) ** p)[..., None, :]) @ _adj(wx)
+        gp = _rebuild(wx, np.sign(e) * np.abs(e) ** p)
         spectra["comm", p] = _svals(gp @ b - b @ gp)
         if p > 1.0:
             spectra["s1", p] = s1**p
@@ -575,7 +544,7 @@ def _lemma54(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         def solve(g):
             f1 = entropy_min_mat(g, st1).minimizer
             f2 = entropy_min_mat(g, st2).minimizer
-            return eval_gauge(g, _desc(np.clip(np.linalg.eigvalsh(0.5 * (f1 + f2)), 0.0, None)))
+            return eval_gauge(g, _psd_spectrum(0.5 * (f1 + f2)))
 
         return [(f"g={gs}", lhs, rhs, dict(gauge=gs, rho1=rho1, rho2=rho2, dist=dist)) for gs, rhs in _by_canonical(gauges, solve)]
 
@@ -594,8 +563,7 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         def solve(g):
             """``(part, lhs, rhs, payload fields)`` of the four round trips."""
             unit = spectrum / eval_gauge(g, spectrum)
-            psd_unit = (frame * unit) @ frame.conj().T
-            psd_unit = 0.5 * (psd_unit + psd_unit.conj().T)
+            psd_unit = _rebuild(frame, unit, herm=True)
             general_unit = u3 @ np.diag(unit).astype(complex) @ v3
             back = norming_state(g, entropy_min_mat(g, st).minimizer)
             back_a = entropy_min_mat(g, norming_state(g, psd_unit)).minimizer
@@ -604,8 +572,8 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
             return (
                 ("state-roundtrip", _l1_herm(back - rho), _STATE_SIDE_TOL, dict(rho=rho)),
                 ("sphere-roundtrip", _l1_herm(back_a - psd_unit), _SPHERE_SIDE_TOL, dict(A=psd_unit)),
-                ("sphere-roundtrip-general", _l1_gen(back_b - general_unit), _SPHERE_SIDE_TOL, dict(A=general_unit)),
-                ("state-roundtrip-general", _l1_gen(back_t - general_trace), _STATE_SIDE_TOL, dict(A=general_trace)),
+                ("sphere-roundtrip-general", trace_norm(back_b - general_unit), _SPHERE_SIDE_TOL, dict(A=general_unit)),
+                ("state-roundtrip-general", trace_norm(back_t - general_trace), _STATE_SIDE_TOL, dict(A=general_trace)),
             )
 
         return [
@@ -683,13 +651,14 @@ def _block(name: str, cfg: SuiteConfig, n: int, idx: range) -> _Cases:
     Each sample draws from its own generator, keyed by ``(seed, name, n,
     index)`` alone.  An overflow, a division by zero, an invalid operation
     or a failed LAPACK call in the suite is a :class:`NumericalFailure`
+    naming the suite and dimension, as is any other numerical failure in it,
     rather than a warning, an inf or NaN side, or a traceback.
     """
     rngs = [sampling.make_rng(cfg.seed, name, n, i) for i in idx]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _SUITES[name](cfg, n, idx, rngs)
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, NumericalFailure) as exc:
         raise NumericalFailure(f"suite {name} dim={n}: {exc}") from exc
 
 
@@ -710,12 +679,14 @@ def _jobs(cfg: SuiteConfig) -> list[tuple[int, range]]:
 
 
 def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> SuiteReport:
-    """Run one registered suite; the report is independent of ``threads``."""
+    """Run one registered suite; the report is independent of ``threads``,
+    of which at most one per CPU run, and one runs in the calling thread."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
     jobs = _jobs(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return _merge(name, cfg, pool.map(lambda job: _block(name, cfg, *job), jobs))
     return _merge(name, cfg, (_block(name, cfg, *job) for job in jobs))
 

@@ -16,6 +16,7 @@ from spectral_mazur import (
     dual_gauge,
     duality_map_mat,
     matrix_from_json,
+    mazur_inverse,
     matrix_to_json,
     norm_ui,
     parse_gauge,
@@ -25,7 +26,7 @@ from spectral_mazur import (
     trace_norm,
     write_matrix,
 )
-from spectral_mazur.errors import ConfigError, MatrixFormatError, NotPositive, NotSmooth, ZeroMatrix
+from spectral_mazur.errors import ConfigError, MatrixFormatError, NotPositive, NotSmooth, NumericalFailure, ZeroMatrix
 from spectral_mazur.matnorm import _eigh_psd, as_matrix
 
 GAUGES = ("lp:1", "lp:1.5", "lp:2", "lp:4", "lp:inf", "kyfan:2", "conv:2:lp:1", "dual:lp:3")
@@ -139,6 +140,19 @@ def test_eigh_psd_clamps_dust_and_rejects_indefinite():
         _eigh_psd(as_matrix(np.diag([1.0, -0.5])))
     with pytest.raises(NotPositive):
         _eigh_psd(as_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+@pytest.mark.parametrize(
+    "routine,call",
+    [("svd", singular_values), ("svd", polar), ("svd", lambda a: mazur_inverse(a, 2.0)), ("eigh", lambda a: _eigh_psd(as_matrix(a)))],
+)
+def test_a_lapack_failure_is_a_numerical_failure(monkeypatch, routine, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NumericalFailure, match="failed: did not converge"):
+        call(np.eye(2))
 
 
 # ---------------------------------------------------------------------------

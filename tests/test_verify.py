@@ -12,10 +12,15 @@ from spectral_mazur import (
     SUITE_NAMES,
     Lp,
     SuiteConfig,
+    convexify,
+    entropy_min_general,
     estimate_modulus,
     mazur_forward,
+    mazur_inverse,
+    norm_ui,
     parse_gauge,
     run_inequality_suite,
+    trace_norm,
 )
 from spectral_mazur.cli import RunManifest, main
 from spectral_mazur.errors import ConfigError, DimensionTooLarge, GaugeParseError, NotSmooth, NumericalFailure, UnknownSuite
@@ -273,6 +278,33 @@ def test_report_bytes_deterministic_and_thread_invariant():
     assert s1 == s2 == s4
 
 
+class _RecordingPool:
+    """Stands in for ``ThreadPoolExecutor``: notes each ``max_workers`` in
+    ``made`` and maps in the calling thread, so it starts no thread."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus,threads,want", [(4, 5000, [4]), (4, 3, [3]), (1, 5000, []), (None, 5000, []), (4, 1, [])])
+def test_suite_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, threads, want):
+    made = []
+    monkeypatch.setattr(suites_mod, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+    monkeypatch.setattr(suites_mod.os, "cpu_count", lambda: cpus)
+    got = run_inequality_suite("holder", SMALL, threads=threads)
+    assert made == want
+    assert dumps_json(got.to_json()) == dumps_json(run_inequality_suite("holder", SMALL).to_json())
+
+
 def test_seed_changes_results():
     rep1 = run_inequality_suite("holder", SMALL)
     rep2 = run_inequality_suite("holder", SuiteConfig(seed=2, dims=(2, 3), samples_per_case=6))
@@ -389,6 +421,30 @@ def test_modulus_inverse_and_entropy_maps():
         prof = estimate_modulus(name, cfg, parse_gauge("lp:2"))
         assert prof.bound_violations == 0
         assert all(isinstance(b["bound"], float) for b in prof.bins)
+
+
+def _antipodal_ratio(apply, image, exponent):
+    """``omega / t^(1/exponent)`` of ``apply`` on the pair ``(x, -x)``,
+    ``x = I/2`` at n = 2: both lie on the trace-norm sphere, ``t = 2``, and
+    ``omega`` is the image distance in ``image``."""
+    x = np.eye(2, dtype=complex) / 2.0
+    t = trace_norm(x - (-x))
+    return norm_ui(image, apply(x) - apply(-x)) / t ** (1.0 / exponent)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+def test_root_bounds_fail_off_the_positive_cone_for_mazur_inverse(p):
+    # t^(1/p) bounds Gp_inv on PSD pairs, the only pairs the profiler draws;
+    # on the pair (x, -x) the map exceeds it by 2^(1 - 1/p)
+    ratio = _antipodal_ratio(lambda a: mazur_inverse(a, p), convexify(Lp(1.0), p), p)
+    assert ratio == pytest.approx(2.0 ** (1.0 - 1.0 / p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0])
+def test_root_bounds_fail_off_the_positive_cone_for_the_entropy_map(q):
+    # likewise t^(1/q) for FX on lp:q: the same pair gives 2^(1 - 1/q)
+    ratio = _antipodal_ratio(lambda a: entropy_min_general(Lp(q), a).minimizer, Lp(q), q)
+    assert ratio == pytest.approx(2.0 ** (1.0 - 1.0 / q), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
