@@ -68,7 +68,7 @@ from .gauge import (
     eval_gauge_rows,
     format_gauge,
 )
-from .matnorm import _EPS, _adj, _as_matrices, _eigh_psd, _first, _psd_or_polar, _rebuild, as_matrix, polar
+from .matnorm import _EPS, _adj, _as_matrices, _eigh_clamped, _eigh_psd, _first, _psd_or_polar, _rebuild, as_matrix, polar
 
 __all__ = [
     "EntropyMinReport",
@@ -114,16 +114,18 @@ def check_state(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`check_state` of a validated matrix or stack, each matrix checked
-    against its own scale."""
+    against its own scale.  The adjoint and scale of the Hermitian check go
+    on to the decomposition, which does not check symmetry a second time."""
+    mh = _adj(m)
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    if (np.abs(m - _adj(m)).max(axis=(-2, -1)) > 1e-12 * scale).any():
+    if (np.abs(m - mh).max(axis=(-2, -1)) > 1e-12 * scale).any():
         raise NotState("density matrix must be Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > 1e-12
     if off.any():
         raise NotState(f"density matrix must have unit trace, got {_first(tr, off)!r}")
     try:
-        return _eigh_psd(m)
+        return _eigh_clamped(m, mh, scale)
     except NotPositive as exc:
         raise NotState(f"density matrix must be PSD: {exc}") from exc
 

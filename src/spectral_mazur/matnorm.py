@@ -195,13 +195,20 @@ def _eigh_psd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix or stack, in one ``eigh`` call; each matrix must be Hermitian
     within 1e-10 of its scale, and eigenvalues in ``[-n eps lam_max, 0)`` are
     clamped to 0, anything more negative raises :class:`NotPositive`."""
-    n = m.shape[-1]
     mh = _adj(m)
     herm_err = np.abs(m - mh).max(axis=(-2, -1))
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
     bad = herm_err > 1e-10 * scale
     if bad.any():
         raise NotPositive(f"matrix is not Hermitian (asymmetry {_first(herm_err, bad):.3e})")
+    return _eigh_clamped(m, mh, scale)
+
+
+def _eigh_clamped(m: np.ndarray, mh: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_eigh_psd` after its Hermitian check, for a caller that has
+    made that check (or a tighter one) itself: ``mh`` is the adjoint of
+    ``m`` and ``scale`` is ``max(max |m_ij|, 1)`` per matrix."""
+    n = m.shape[-1]
     lam, w = _eigh(0.5 * (m + mh))
     lam_max = np.where(lam[..., -1] > 0, lam[..., -1], 0.0)
     low = lam[..., 0] < -n * _EPS * lam_max - 10 * _EPS * scale

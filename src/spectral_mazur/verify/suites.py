@@ -43,9 +43,10 @@ sample (``_per_sample``), because their solvers take one matrix at a time;
 they solve once per canonical gauge (or exponent), and each sampled state is
 validated and diagonalised once by ``check_state`` (``roundtrip``'s
 ``general_trace`` by ``entropy._check_general``), whose result every solve
-of that state takes in place of the matrix.  Blocks are merged in index
-order, which keeps cases and violations in sample order, so the report bytes
-do not depend on the number of threads.
+of that state takes in place of the matrix.  Blocks are merged, and then
+released, in index order, which keeps cases and violations in sample order,
+so the report bytes do not depend on the number of threads; on one thread a
+run holds one block at a time.
 """
 
 from __future__ import annotations
@@ -692,7 +693,8 @@ def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> Suite
 
 
 def _merge(name: str, cfg: SuiteConfig, blocks) -> SuiteReport:
-    """Fold blocks, in index order, into the report.
+    """Fold blocks, in index order, into the report, each released before
+    the next is asked for, so a run on one thread holds one block at a time.
 
     IEEE division, multiplication, addition and max give the same bits on
     arrays as on one case at a time, so the result does not depend on how
@@ -720,6 +722,9 @@ def _merge(name: str, cfg: SuiteConfig, blocks) -> SuiteReport:
             values = values[np.isfinite(values)]
             if values.size:
                 recorded[key] = max(recorded.get(key, 0.0), float(values.max()))
+        # bound to the loop's names, block k would stay alive while the
+        # next iteration builds block k + 1
+        del block, lhs, rhs
     return SuiteReport(
         suite_name=name,
         config=cfg,

@@ -122,6 +122,17 @@ def test_check_state_rejections():
         check_state(np.diag([1.5, -0.5]))  # indefinite
 
 
+def test_check_state_keeps_its_tighter_hermitian_check():
+    # an asymmetry between check_state's 1e-12 and _eigh_psd's 1e-10 of the
+    # scale: check_state decomposes with _eigh_psd's core, not through its check
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = 1e-11
+    with pytest.raises(NotState, match="^density matrix must be Hermitian$"):
+        check_state(rho)
+    lam, _ = _eigh_psd(as_matrix(rho))
+    assert lam == pytest.approx([0.5, 0.5])
+
+
 def _rand_psd(rng, n, rank=None):
     g = rng.normal(size=(n, rank or n)) + 1j * rng.normal(size=(n, rank or n))
     return g @ g.conj().T

@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -745,11 +746,12 @@ def test_a_block_holds_at_most_one_max_dim_matrix_of_entries():
     assert {len(idx) for m, idx in jobs if m == 16} == {16, 1100 % 16}
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE))
+@pytest.mark.parametrize("name", sorted(REFERENCE) + sorted(ENTROPY_REFERENCE))
 def test_a_block_suite_at_max_dim_traces_under_4_mb(name):
     # blocks cut by entries, not samples, keep the stacked arrays of a
-    # MAX_DIM run near one matrix per sample array
-    cfg = SuiteConfig(seed=1, dims=(MAX_DIM,), samples_per_case=8)
+    # MAX_DIM run near one matrix per sample array; the suites that solve
+    # sample by sample run fewer samples
+    cfg = SuiteConfig(seed=1, dims=(MAX_DIM,), samples_per_case=2 if name in ENTROPY_REFERENCE else 8)
     tracemalloc.start()
     try:
         run_inequality_suite(name, cfg)
@@ -757,6 +759,22 @@ def test_a_block_suite_at_max_dim_traces_under_4_mb(name):
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("name", ["entropy_props", "roundtrip"])
+def test_a_run_releases_each_block_before_it_builds_the_next(monkeypatch, name):
+    refs = []
+    block = suites_mod._block
+
+    def tracked(*job):
+        assert all(ref() is None for ref in refs), f"block {len(refs) - 1} is alive while block {len(refs)} is built"
+        cases = block(*job)
+        refs.append(weakref.ref(cases))
+        return cases
+
+    monkeypatch.setattr(suites_mod, "_block", tracked)
+    run_inequality_suite(name, SuiteConfig(seed=1, dims=(MAX_DIM,), samples_per_case=3), threads=1)
+    assert len(refs) == 3
 
 
 class _Wide(np.random.Generator):
