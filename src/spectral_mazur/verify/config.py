@@ -47,6 +47,15 @@ def _checked(name: str, value, types):
     return value
 
 
+def _refuse_repeats(name: str, entries: tuple) -> None:
+    """Refuse the first entry of ``entries`` that repeats an earlier one."""
+    seen = set()
+    for x in entries:
+        if x in seen:
+            raise ConfigError(f"{name} entries must be distinct, got {x!r} twice")
+        seen.add(x)
+
+
 def _float(value) -> float:
     """``value`` as a float; an integer beyond float range becomes the
     infinity of its sign, which the finiteness checks refuse."""
@@ -121,6 +130,12 @@ class SuiteConfig:
                 raise ConfigError(f"p_grid entries must be finite and >= 1, got {p}")
         if not (0.0 <= _float(self.rel_tol) < math.inf and 0.0 <= _float(self.abs_tol) < math.inf):
             raise ConfigError("tolerances must be finite and nonnegative")
+        # samples are keyed (seed, suite, n, index), so a repeated entry would
+        # run the same cases twice and count them twice; p_grid entries
+        # compare as floats, so 2 and 2.0 repeat, while distinct descriptors
+        # of one gauge (lp:2, conv:2:lp:1) carry distinct labels and stay
+        for name in ("dims", "gauges", "p_grid"):
+            _refuse_repeats(name, getattr(self, name))
 
     def parsed_gauges(self) -> tuple[tuple[str, Gauge], ...]:
         """``(descriptor, gauge)`` for each of ``gauges``, parsed once."""

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -681,12 +680,20 @@ def _jobs(cfg: SuiteConfig) -> list[tuple[int, range]]:
 
 def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> SuiteReport:
     """Run one registered suite; the report is independent of ``threads``,
-    of which at most one per CPU run, and one runs in the calling thread."""
+    of which at most one per CPU run, and one runs in the calling thread.
+
+    More than one worker runs on a ``concurrent.futures.ThreadPoolExecutor``,
+    imported here rather than at module top: one worker runs in the calling
+    thread, and neither it nor ``import spectral_mazur`` loads the pool's
+    modules (``concurrent.futures``, ``logging``, ``queue``, ...).
+    """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
     jobs = _jobs(cfg)
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return _merge(name, cfg, pool.map(lambda job: _block(name, cfg, *job), jobs))
     return _merge(name, cfg, (_block(name, cfg, *job) for job in jobs))

@@ -738,6 +738,23 @@ def test_samples_beyond_one_word_is_a_usage_error(tmp_path, capsys, samples):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("field,entries", [("dims", [2, 2]), ("gauges", ["lp:2", "kyfan:1", "lp:2"]), ("p_grid", [2, 2.0])])
+def test_repeated_config_entry_is_a_usage_error(tmp_path, capsys, field, entries):
+    # a repeated entry would run the same cases twice and count them twice;
+    # it is refused before any output directory exists
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({field: entries, "samples_per_case": 1}))
+    assert main(["verify", "holder", "--config", str(cfg_file), "--out", str(tmp_path / "v"), *TS]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} entries must be distinct")
+    for argv in (
+        ["verify", "holder", "--dims", "2,2", "--samples", "1", "--out", str(tmp_path / "v")],
+        ["modulus", "Gp", "--gauge", "lp:1", "--p", "3", "--dims", "2,2", "--samples", "8", "--out", str(tmp_path / "m" / "x")],
+    ):
+        assert main([*argv, *TS]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: dims entries must be distinct, got 2 twice"), argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy unimportable the
     # package evaluates the exact duals and runs a suite

@@ -1,9 +1,14 @@
 """Verification harness: suite runner, determinism, sampling, modulus."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +98,30 @@ def test_config_from_json_rejects_unknown_keys():
         SuiteConfig.from_json({"seed": 1, "bogus": 2})
     cfg = SuiteConfig.from_json({"seed": 5, "dims": [2, 4], "samples_per_case": 3})
     assert cfg.seed == 5 and cfg.dims == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "field,entries,named",
+    [
+        ("dims", (2, 3, 2), "dims entries must be distinct, got 2 twice"),
+        ("gauges", ("lp:2", "kyfan:1", "lp:2"), "gauges entries must be distinct, got 'lp:2' twice"),
+        ("p_grid", (2, 3, 2.0), "p_grid entries must be distinct, got 2.0 twice"),
+    ],
+)
+def test_config_refuses_repeated_entries(field, entries, named):
+    # samples are keyed (seed, suite, n, index), so a repeated entry would
+    # run the same cases again and count them twice
+    with pytest.raises(ConfigError, match=named):
+        SuiteConfig(**{field: entries})
+    with pytest.raises(ConfigError, match=named):
+        SuiteConfig.from_json({field: list(entries)})
+
+
+def test_config_keeps_distinct_descriptors_of_one_gauge():
+    # lp:2 and conv:2:lp:1 share a canonical form but label their cases apart
+    both = SuiteConfig(dims=(2,), samples_per_case=1, gauges=("lp:2", "conv:2:lp:1"))
+    one = dataclasses.replace(both, gauges=("lp:2",))
+    assert run_inequality_suite("holder", both).cases_run == 2 * run_inequality_suite("holder", one).cases_run
 
 
 def test_config_json_roundtrip():
@@ -298,11 +327,29 @@ class _RecordingPool:
 @pytest.mark.parametrize("cpus,threads,want", [(4, 5000, [4]), (4, 3, [3]), (1, 5000, []), (None, 5000, []), (4, 1, [])])
 def test_suite_pool_has_at_most_one_worker_per_cpu(monkeypatch, cpus, threads, want):
     made = []
-    monkeypatch.setattr(suites_mod, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
     monkeypatch.setattr(suites_mod.os, "cpu_count", lambda: cpus)
     got = run_inequality_suite("holder", SMALL, threads=threads)
     assert made == want
     assert dumps_json(got.to_json()) == dumps_json(run_inequality_suite("holder", SMALL).to_json())
+
+
+def test_one_thread_run_loads_no_thread_pool():
+    # the pool is imported only where more than one worker runs, so the
+    # package and a one-thread run load none of its modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = """
+import sys
+import spectral_mazur
+import spectral_mazur.cli
+from spectral_mazur import SuiteConfig, run_inequality_suite
+run_inequality_suite("holder", SuiteConfig(seed=1, dims=(2, 3), samples_per_case=6), threads=1)
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "logging", "queue")))
+"""
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_seed_changes_results():
