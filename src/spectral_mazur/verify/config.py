@@ -176,8 +176,10 @@ class SuiteReport:
     """Outcome of one suite run.
 
     ``worst_ratio`` is the maximum of lhs/rhs over all cases whose rhs
-    exceeds the absolute tolerance (guarding 0/0 equality cases); a passing
-    suite has no violations, which keeps ``worst_ratio <= 1 + rel_tol``.
+    exceeds the absolute tolerance (guarding 0/0 equality cases).  A passing
+    suite has no violations, so each case has ``lhs <= rhs (1 + rel_tol) +
+    abs_tol`` and a ratio of at most ``1 + rel_tol + abs_tol / rhs``, which
+    nears ``2 + rel_tol`` as ``rhs`` falls to ``abs_tol``.
     ``recorded`` holds diagnostic maxima that are tracked but not asserted.
     """
 

@@ -167,7 +167,6 @@ def estimate_modulus(map_name: str, cfg: SuiteConfig, gauge: Gauge, p: float | N
                 b = _perturb_psd(rng, a, dom)
             else:
                 b = _unit_psd(rng, n, dom)
-            t = _norm_herm(dom, a - b)
             d = _norm_herm(img, apply(a) - apply(b))
 
             if kind == 0:
@@ -176,6 +175,7 @@ def estimate_modulus(map_name: str, cfg: SuiteConfig, gauge: Gauge, p: float | N
                 if d != 0.0:
                     bound_violations += 1
                 continue
+            t = _norm_herm(dom, a - b)
             if t <= 0.0:
                 continue
             if d > bound(t) * (1.0 + cfg.rel_tol) + cfg.abs_tol:

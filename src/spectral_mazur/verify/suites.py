@@ -20,7 +20,8 @@ by ``(label tail, parameters)`` and states its samples' payload fields once
 per block (``_fields``): a payload is the parameters, then the sample's
 fields.  ``fan_dominance`` (its label names a
 sample's variant) and the per-sample suites (a ``roundtrip`` payload matrix
-differs per gauge) describe their cases themselves.
+differs per gauge) describe their cases themselves; a payload field there
+may be a zero-argument callable, called only to describe a violation.
 
 Blocks: the samples of dimension n are cut into blocks of
 ``_block_samples(n)`` consecutive indices, and a worker evaluates one block.
@@ -47,6 +48,14 @@ of that state takes in place of the matrix.  Blocks are merged, and then
 released, in index order, which keeps cases and violations in sample order,
 so the report bytes do not depend on the number of threads; on one thread a
 run holds one block at a time.
+
+Within a block, the two suites with the largest working set hold only what
+their next step reads: ``roundtrip`` takes each round trip's residual as
+that trip ends, and rebuilds a unit-sphere matrix only to describe a
+violation; ``entropy_props`` draws and evaluates in two stages, the
+one-state pairs and then the three-state mixtures, and releases each stage's
+matrices once its relative entropies are taken.  Each generator gets the
+same calls in the same order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -175,8 +184,10 @@ class _Cases:
     the order their kinds were added, after those of the samples before it.
     ``describe(row, key)`` gives the label tail and payload fields of the
     case of kind ``key`` for the block's sample ``row``, and is called only
-    for violations.  ``records`` are ``(key, values)`` diagnostics whose
-    maxima are tracked but not asserted.
+    for violations (and a NaN side), so a payload field may be kept as a
+    zero-argument callable that ``describe`` calls: ``roundtrip`` rebuilds
+    its unit-sphere matrices only there.  ``records`` are ``(key, values)``
+    diagnostics whose maxima are tracked but not asserted.
     """
 
     def __init__(self, n: int, idx: range, describe: Callable[[int, object], tuple[str, dict]], rows=None):
@@ -220,9 +231,16 @@ def _per_sample(n: int, idx: range, drawn, body) -> _Cases:
     fields)]`` runs sample by sample on one sample's entries, and gives
     every sample the same case kinds in the same order.  A case keeps the
     payload ``body`` gave it: a ``roundtrip`` payload matrix differs per gauge.
+    A payload field may be a zero-argument callable, which ``describe`` calls,
+    so a matrix that only a violation reads is built only for one.
     """
     out = [body(*(a[j] for a in drawn)) for j in range(len(idx))]
-    cases = _Cases(n, idx, lambda j, c: (out[j][c][0], out[j][c][3]))
+
+    def describe(j, c):
+        tail, _, _, fields = out[j][c]
+        return tail, {key: v() if callable(v) else v for key, v in fields.items()}
+
+    cases = _Cases(n, idx, describe)
     for c in range(len(out[0])):
         cases.add(c, np.array([o[c][1] for o in out]), np.array([o[c][2] for o in out]))
     return cases
@@ -488,10 +506,17 @@ def _lemma47(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
 
 
 def _entropy_props(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
+    # two stages, each drawing what it evaluates, in the generators' order;
+    # a stage's matrices are released once its values are taken
     rho = sampling.state(rngs, n)
     sig = sampling.psd(rngs, n)
     sig2 = sig + sampling.psd(rngs, n)
     c = np.array([float(rng.uniform(0.2, 5.0)) for rng in rngs])
+    sig3 = np.stack([sig, sig2, c[:, None, None] * sig], axis=1)
+    del sig2
+    # each rho is decomposed once for its three sigmas
+    d0, d_mono, d_scaled = rel_entropy(rho[:, None], sig3).T
+    del sig3
     lam = np.array([rng.exponential(size=3) for rng in rngs])
     lam = lam / lam.sum(axis=1, keepdims=True)
     thrice = [rng for rng in rngs for _ in range(3)]  # three draws per generator
@@ -499,13 +524,11 @@ def _entropy_props(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     sigs = sampling.psd(thrice, n).reshape(len(idx), 3, n, n)
     mix_r = sum(lam[:, k, None, None] * rhos[:, k] for k in range(3))
     mix_s = sum(lam[:, k, None, None] * sigs[:, k] for k in range(3))
-    sig3 = np.stack([sig, sig2, c[:, None, None] * sig], axis=1)
-    # each rho is decomposed once for its three sigmas
-    d0, d_mono, d_scaled = rel_entropy(rho[:, None], sig3).T
     d_mix = rel_entropy(mix_r, mix_s)
+    del mix_r, mix_s
     d_parts = rel_entropy(rhos, sigs)
     d_sum = sum(lam[:, k] * d_parts[:, k] for k in range(3))
-    cases = _Cases(n, idx, _fields(lambda j: dict(rho=rho[j], sigma=sig3[j, 0], c=float(c[j]))))
+    cases = _Cases(n, idx, _fields(lambda j: dict(rho=rho[j], sigma=sig[j], c=float(c[j]))))
     cases.add(("monotone", {}), d_mono, d0)
     cases.add(("scaling", {}), np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
     cases.add(("convexity", {}), d_mix, d_sum)
@@ -561,19 +584,30 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
         st, st_t = check_state(rho), _check_general(general_trace)
 
         def solve(g):
-            """``(part, lhs, rhs, payload fields)`` of the four round trips."""
+            """``(part, lhs, rhs, payload fields)`` of the four round trips.
+
+            Each residual is taken as its round trip ends, which releases
+            that trip's matrices before the next one starts.  A unit-sphere
+            matrix is rebuilt, by the same operations, only to describe a
+            violation: its payload field is the callable that builds it.
+            """
             unit = spectrum / eval_gauge(g, spectrum)
-            psd_unit = _rebuild(frame, unit, herm=True)
-            general_unit = u3 @ np.diag(unit).astype(complex) @ v3
-            back = norming_state(g, entropy_min_mat(g, st).minimizer)
-            back_a = entropy_min_mat(g, norming_state(g, psd_unit)).minimizer
-            back_b = entropy_min_general(g, norming_state(g, general_unit)).minimizer
-            back_t = norming_state(g, entropy_min_general(g, st_t).minimizer)
+
+            def psd_unit():
+                return _rebuild(frame, unit, herm=True)
+
+            def general_unit():
+                return u3 @ np.diag(unit).astype(complex) @ v3
+
+            def sphere_trip(norm, minimize, start):
+                a = start()
+                return norm(minimize(g, norming_state(g, a)).minimizer - a)
+
             return (
-                ("state-roundtrip", _l1_herm(back - rho), _STATE_SIDE_TOL, dict(rho=rho)),
-                ("sphere-roundtrip", _l1_herm(back_a - psd_unit), _SPHERE_SIDE_TOL, dict(A=psd_unit)),
-                ("sphere-roundtrip-general", trace_norm(back_b - general_unit), _SPHERE_SIDE_TOL, dict(A=general_unit)),
-                ("state-roundtrip-general", trace_norm(back_t - general_trace), _STATE_SIDE_TOL, dict(A=general_trace)),
+                ("state-roundtrip", _l1_herm(norming_state(g, entropy_min_mat(g, st).minimizer) - rho), _STATE_SIDE_TOL, dict(rho=rho)),
+                ("sphere-roundtrip", sphere_trip(_l1_herm, entropy_min_mat, psd_unit), _SPHERE_SIDE_TOL, dict(A=psd_unit)),
+                ("sphere-roundtrip-general", sphere_trip(trace_norm, entropy_min_general, general_unit), _SPHERE_SIDE_TOL, dict(A=general_unit)),
+                ("state-roundtrip-general", trace_norm(norming_state(g, entropy_min_general(g, st_t).minimizer) - general_trace), _STATE_SIDE_TOL, dict(A=general_trace)),
             )
 
         return [

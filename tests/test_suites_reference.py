@@ -750,7 +750,10 @@ def test_a_block_holds_at_most_one_max_dim_matrix_of_entries():
 def test_a_block_suite_at_max_dim_traces_under_4_mb(name):
     # blocks cut by entries, not samples, keep the stacked arrays of a
     # MAX_DIM run near one matrix per sample array; the suites that solve
-    # sample by sample run fewer samples
+    # sample by sample run fewer samples.  The name keeps the first bound,
+    # 4 MB; the bound is now 1.5 MB, since roundtrip holds one round trip
+    # and entropy_props one stage of draws at a time (2.00 and 1.72 MB
+    # when each held all of them)
     cfg = SuiteConfig(seed=1, dims=(MAX_DIM,), samples_per_case=2 if name in ENTROPY_REFERENCE else 8)
     tracemalloc.start()
     try:
@@ -758,7 +761,7 @@ def test_a_block_suite_at_max_dim_traces_under_4_mb(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6, peak
+    assert peak < 1.5e6, peak
 
 
 @pytest.mark.parametrize("name", ["entropy_props", "roundtrip"])

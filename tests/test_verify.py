@@ -542,6 +542,26 @@ def test_modulus_vanishes_at_zero_distance(monkeypatch):
     assert prof.bound_violations == len(cfg.dims) * math.ceil(20 / 8)
 
 
+@pytest.mark.parametrize(("name", "p"), [("Gp", 3.0), ("Gp_inv", 2.0), ("FX", None), ("FX_inv", None)])
+def test_modulus_takes_no_domain_distance_of_an_identical_pair(monkeypatch, name, p):
+    # an identical pair is checked by its image distance alone: the zero
+    # matrix a - b is never gauged, while the images' zero difference is
+    norm = modulus_mod._norm_herm
+    zero_calls = []
+
+    def spied(g, h):
+        if not np.any(h):
+            zero_calls.append(g)
+        return norm(g, h)
+
+    monkeypatch.setattr(modulus_mod, "_norm_herm", spied)
+    cfg = SuiteConfig(seed=1, dims=(2, 3), samples_per_case=16)
+    dom, img, _, _ = modulus_mod._sphere_map(name, parse_gauge("lp:2"), p)
+    assert dom != img
+    estimate_modulus(name, cfg, parse_gauge("lp:2"), p=p)
+    assert zero_calls == [img] * (len(cfg.dims) * 16 // 8)  # every eighth pair is identical
+
+
 def test_modulus_config_errors():
     with pytest.raises(ConfigError):
         estimate_modulus("nope", SMALL, Lp(2.0))
