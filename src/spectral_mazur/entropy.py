@@ -146,7 +146,8 @@ def rel_entropy(rho, sigma) -> float | np.ndarray:
     dimensions broadcast against each other.  The result is then an array
     over the broadcast pairs, each entry equal bit for bit to the value of
     its pair alone, and each matrix is validated and diagonalised once,
-    however many pairs it is in.
+    however many pairs it is in.  A call holds all its decompositions at
+    once; one call per pair holds less, with the same bits.
     """
     m = _as_matrices(rho)
     r, _ = _check_states(m)
@@ -160,6 +161,7 @@ def rel_entropy(rho, sigma) -> float | np.ndarray:
         raise NotState(f"stacks of {r.shape[:-1]} states and {lam.shape[:-1]} sigmas do not broadcast") from None
     # diagonal of rho in the eigenbasis of sigma
     diag = np.clip(np.diagonal(_adj(ws) @ m @ ws, axis1=-2, axis2=-1).real, 0.0, None)
+    del ws
     pos = r > n * _EPS * r[..., -1:]
     on_support = lam > n * _EPS * lam[..., -1:]
     off_support = np.where(on_support, 0.0, diag).sum(-1)
@@ -515,10 +517,15 @@ def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
     n = m.shape[0]
     if n > 3:
         raise DimensionTooLarge(f"grid oracle supports dim <= 3, got {n}")
-    off = m - np.diag(np.diag(m))
+    d = np.diag(m)
+    off = m - np.diag(d)
     if np.abs(off).max() > 1e-12:
         raise NotState("grid oracle needs a diagonal density matrix")
-    r = _check_probability(np.diag(m).real)
+    # the Hermitian rule of ``check_state``, which on a diagonal reads only
+    # the imaginary parts
+    if np.abs(d - d.conj()).max() > 1e-12 * max(np.abs(m).max(), 1.0):
+        raise NotState("density matrix must be Hermitian")
+    r = _check_probability(d.real)
     supp = np.flatnonzero(r > 0.0)
     rs = r[supp]
     msz = supp.size

@@ -121,7 +121,10 @@ def _rebuild(w: np.ndarray, f: np.ndarray, herm: bool = False) -> np.ndarray:
     """``w diag(f) w†`` for a matrix or stack ``w`` and its rows ``f``; with
     ``herm``, the Hermitian part ``(x + x†) / 2`` of that product ``x``."""
     x = (w * f[..., None, :]) @ _adj(w)
-    return 0.5 * (x + _adj(x)) if herm else x
+    if herm:
+        x += _adj(x)
+        x *= 0.5
+    return x
 
 
 def singular_values(a) -> np.ndarray:
@@ -162,11 +165,11 @@ def polar(a) -> PolarParts:
     m = as_matrix(a)
     n = m.shape[0]
     u, s, vh = _lapack(np.linalg.svd, m)
-    modulus = _rebuild(_adj(vh), s, herm=True)
     cutoff = n * _EPS * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     isometry = u[:, :rank] @ vh[:rank, :]
-    return PolarParts(isometry=isometry, modulus=modulus)
+    del u  # read only by the isometry; the modulus is built without it
+    return PolarParts(isometry=isometry, modulus=_rebuild(_adj(vh), s, herm=True))
 
 
 def _svd_powers(a, exponents) -> list[np.ndarray]:
@@ -209,7 +212,9 @@ def _eigh_clamped(m: np.ndarray, mh: np.ndarray, scale: np.ndarray) -> tuple[np.
     made that check (or a tighter one) itself: ``mh`` is the adjoint of
     ``m`` and ``scale`` is ``max(max |m_ij|, 1)`` per matrix."""
     n = m.shape[-1]
-    lam, w = _eigh(0.5 * (m + mh))
+    h = m + mh
+    h *= 0.5
+    lam, w = _eigh(h)
     lam_max = np.where(lam[..., -1] > 0, lam[..., -1], 0.0)
     low = lam[..., 0] < -n * _EPS * lam_max - 10 * _EPS * scale
     if low.any():

@@ -15,6 +15,8 @@ of its stack nor on the stack's size, and a caller with one sample passes a
 one-element list.  A sampler that draws several matrices per generator
 draws them generator by generator: all of the first generator's, then all
 of the second's.
+Hermitian parts (``w += w†``, ``w *= 0.5``), normalisations and sums are
+formed in place, by the ufuncs and order of the allocating expressions.
 """
 
 from __future__ import annotations
@@ -76,26 +78,34 @@ def ginibre(rngs, n: int) -> np.ndarray:
 
 def hermitian(rngs, n: int) -> np.ndarray:
     g = ginibre(rngs, n)
-    return 0.5 * (g + _adj(g))
+    g += _adj(g)
+    g *= 0.5
+    return g
 
 
 def psd(rngs, n: int) -> np.ndarray:
     """Wishart matrices ``G G† / n``; almost surely full rank."""
     g = ginibre(rngs, n)
-    w = g @ _adj(g) / n
-    return 0.5 * (w + _adj(w))
+    w = g @ _adj(g)
+    del g
+    w /= n
+    w += _adj(w)
+    w *= 0.5
+    return w
 
 
 def state(rngs, n: int) -> np.ndarray:
     w = psd(rngs, n)
-    return w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+    w /= np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+    return w
 
 
 def unitary(rngs, n: int) -> np.ndarray:
     """Haar-distributed unitaries via phase-corrected QR."""
     q, r = np.linalg.qr(ginibre(rngs, n))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def ucptp_mixture(rngs, n: int):
@@ -116,5 +126,5 @@ def apply_mixture(mix, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z)
     for j in range(lam.shape[1]):
         u = us[:, j]
-        out = out + lam[:, j, None, None] * (u @ z @ _adj(u))
+        out += lam[:, j, None, None] * (u @ z @ _adj(u))
     return out

@@ -49,13 +49,17 @@ released, in index order, which keeps cases and violations in sample order,
 so the report bytes do not depend on the number of threads; on one thread a
 run holds one block at a time.
 
-Within a block, the two suites with the largest working set hold only what
-their next step reads: ``roundtrip`` takes each round trip's residual as
-that trip ends, and rebuilds a unit-sphere matrix only to describe a
+Within a block, the suites with the largest working set hold only what
+their next step reads: ``roundtrip`` drops each sample's two unitaries once
+its general trace-norm-one matrix is built, takes each round trip's residual
+as that trip ends, and rebuilds a unit-sphere matrix only to describe a
 violation; ``entropy_props`` draws and evaluates in two stages, the
-one-state pairs and then the three-state mixtures, and releases each stage's
-matrices once its relative entropies are taken.  Each generator gets the
-same calls in the same order, so no bit moves.
+one-state pairs (each ``rho`` against its three sigmas in one call, so it is
+decomposed once) and then the three-state mixtures (one pair per call), and
+releases each stage's matrices once its relative entropies are taken.
+Hermitian parts and normalisations are formed in place (``x += x†``, ``x *=
+0.5``), by the ufuncs and order of the expressions they replace.  Each
+generator gets the same calls in the same order, so no bit moves.
 """
 
 from __future__ import annotations
@@ -526,8 +530,9 @@ def _entropy_props(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     mix_s = sum(lam[:, k, None, None] * sigs[:, k] for k in range(3))
     d_mix = rel_entropy(mix_r, mix_s)
     del mix_r, mix_s
-    d_parts = rel_entropy(rhos, sigs)
-    d_sum = sum(lam[:, k] * d_parts[:, k] for k in range(3))
+    # one pair per call: each pair's value is its own, and one call holds
+    # a third of the stage's decompositions
+    d_sum = sum(lam[:, k] * rel_entropy(rhos[:, k], sigs[:, k]) for k in range(3))
     cases = _Cases(n, idx, _fields(lambda j: dict(rho=rho[j], sigma=sig[j], c=float(c[j]))))
     cases.add(("monotone", {}), d_mono, d0)
     cases.add(("scaling", {}), np.abs(d_scaled - d0 + np.log(c)), np.zeros(len(idx)))
@@ -541,6 +546,7 @@ def _lemma53(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     for eps in (0.5, 0.1, 0.01):
         logs = _psd_log(np.stack([a + eps * b, b + eps * a]))
         cases.add((f"eps={eps}", dict(eps=eps)), _habs(logs[0] - logs[1])[:, 0], np.full(len(idx), -math.log(eps)))
+        del logs  # else alive while the next eps builds its own
     return cases
 
 
@@ -578,9 +584,7 @@ def _lemma54(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
 def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     gauges = [(gs, g) for gs, g in cfg.parsed_gauges() if g.smooth]
 
-    def body(rho, spectrum, frame, u2, v2, tvals, u3, v3):
-        tvals = tvals / tvals.sum()
-        general_trace = u2 @ np.diag(tvals).astype(complex) @ v2
+    def body(rho, spectrum, frame, general_trace, u3, v3):
         st, st_t = check_state(rho), _check_general(general_trace)
 
         def solve(g):
@@ -623,7 +627,10 @@ def _roundtrip(cfg: SuiteConfig, n: int, idx: range, rngs: list) -> _Cases:
     spectrum = [_desc(rng.uniform(0.05, 1.0, size=n)) for rng in rngs]
     frame, u2, v2 = sampling.unitary(rngs, n), sampling.unitary(rngs, n), sampling.unitary(rngs, n)
     tvals = [rng.uniform(0.05, 1.0, size=n) for rng in rngs]
-    drawn = rho, spectrum, frame, u2, v2, tvals, sampling.unitary(rngs, n), sampling.unitary(rngs, n)
+    # each sample's general trace-norm-one matrix; nothing else reads u2, v2
+    general = [u @ np.diag(t / t.sum()).astype(complex) @ v for u, t, v in zip(u2, tvals, v2)]
+    del u2, v2
+    drawn = rho, spectrum, frame, general, sampling.unitary(rngs, n), sampling.unitary(rngs, n)
     return _per_sample(n, idx, drawn, body)
 
 

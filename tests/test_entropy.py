@@ -492,6 +492,23 @@ def test_bruteforce_bits_are_pinned(r, s, objective, pitch, y):
     assert rep.minimizer.tobytes() == np.diag(y).astype(complex).tobytes()
 
 
+@pytest.mark.parametrize("imag", [0.3, 6e-13], ids=["0.3", "6e-13"])
+def test_bruteforce_refuses_a_diagonal_the_solver_refuses(imag):
+    # a diagonal with imaginary parts was read by its real parts alone: at
+    # 0.3 the oracle returned objective -0.3466.  2 * 6e-13 is past
+    # check_state's 1e-12 Hermitian rule
+    m = np.diag([0.5 + imag * 1j, 0.5 - imag * 1j])
+    for solve in (entropy_min_bruteforce, entropy_min_mat):
+        with pytest.raises(NotState, match="must be Hermitian"):
+            solve(Lp(2.0), m)
+
+
+def test_bruteforce_accepts_a_diagonal_the_solver_accepts():
+    m = np.diag([0.5 + 4e-13j, 0.5 - 4e-13j])
+    assert entropy_min_mat(Lp(2.0), m).objective == pytest.approx(-math.log(2.0) / 2.0, abs=1e-9)
+    assert entropy_min_bruteforce(Lp(2.0), m).objective.hex() == entropy_min_bruteforce(Lp(2.0), m.real).objective.hex()
+
+
 def test_bruteforce_calls_no_solver_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the grid oracle called the solver's code")

@@ -27,7 +27,7 @@ from spectral_mazur import (
     write_matrix,
 )
 from spectral_mazur.errors import ConfigError, MatrixFormatError, NotPositive, NotSmooth, NumericalFailure, ZeroMatrix
-from spectral_mazur.matnorm import _eigh_psd, as_matrix
+from spectral_mazur.matnorm import _eigh_clamped, _eigh_psd, _rebuild, as_matrix
 
 GAUGES = ("lp:1", "lp:1.5", "lp:2", "lp:4", "lp:inf", "kyfan:2", "conv:2:lp:1", "dual:lp:3")
 
@@ -140,6 +140,36 @@ def test_eigh_psd_clamps_dust_and_rejects_indefinite():
         _eigh_psd(as_matrix(np.diag([1.0, -0.5])))
     with pytest.raises(NotPositive):
         _eigh_psd(as_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+KERNEL_SHAPES = [(k, n) for k in (1, 7) for n in (1, 2, 5, 16, 64)]
+
+
+@pytest.mark.parametrize("k, n", KERNEL_SHAPES)
+def test_rebuild_gives_the_bits_of_the_frozen_hermitian_part(k, n):
+    # the kernel forms the Hermitian part in place; the frozen formula
+    # allocates every intermediate
+    rng = np.random.default_rng([k, n])
+    w = np.stack([_rand(rng, n) for _ in range(k)])
+    f = rng.normal(size=(k, n))
+    x = (w * f[..., None, :]) @ w.conj().swapaxes(-1, -2)
+    want = 0.5 * (x + x.conj().swapaxes(-1, -2))
+    assert _rebuild(w, f, herm=True).tobytes() == want.tobytes()
+    assert _rebuild(w, f).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("k, n", KERNEL_SHAPES)
+def test_eigh_clamped_gives_the_bits_of_the_frozen_eigh(k, n):
+    rng = np.random.default_rng([k, n, 1])
+    g = np.stack([_rand(rng, n) for _ in range(k)])
+    # PSD up to round-off, and not exactly Hermitian
+    m = g @ g.conj().swapaxes(-1, -2) + 1e-14 * np.stack([_rand(rng, n) for _ in range(k)])
+    mh = m.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    lam, w = _eigh_clamped(m, mh, scale)
+    want_lam, want_w = np.linalg.eigh(0.5 * (m + mh))
+    assert lam.tobytes() == np.clip(want_lam, 0.0, None).tobytes()
+    assert w.tobytes() == want_w.tobytes()
 
 
 @pytest.mark.parametrize(

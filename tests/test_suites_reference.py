@@ -751,17 +751,31 @@ def test_a_block_suite_at_max_dim_traces_under_4_mb(name):
     # blocks cut by entries, not samples, keep the stacked arrays of a
     # MAX_DIM run near one matrix per sample array; the suites that solve
     # sample by sample run fewer samples.  The name keeps the first bound,
-    # 4 MB; the bound is now 1.5 MB, since roundtrip holds one round trip
-    # and entropy_props one stage of draws at a time (2.00 and 1.72 MB
-    # when each held all of them)
+    # 4 MB; the bound is now 1.25 MB, since roundtrip holds one round trip
+    # and entropy_props one stage of draws at a time, and the samplers and
+    # spectral kernels build their matrices in place (roundtrip peaks at
+    # 1.08 MB, from 2.00 MB when it held all four round trips)
     cfg = SuiteConfig(seed=1, dims=(MAX_DIM,), samples_per_case=2 if name in ENTROPY_REFERENCE else 8)
+    assert _traced_peak(name, cfg) < 1.25e6
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE) + sorted(ENTROPY_REFERENCE))
+def test_a_sweep_block_traces_under_0_8_mb(name):
+    # the benchmark sweep's n = 16 block: 12 samples, one block.
+    # entropy_props traced 1.01 MB when its stage 2 took the relative
+    # entropies of all three pairs in one call
+    assert _traced_peak(name, SuiteConfig(seed=1, dims=(16,), samples_per_case=12)) < 0.8e6
+
+
+def _traced_peak(name, cfg):
+    """The peak traced while one run of suite ``name`` holds memory."""
     tracemalloc.start()
     try:
         run_inequality_suite(name, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6, peak
+    return peak
 
 
 @pytest.mark.parametrize("name", ["entropy_props", "roundtrip"])
