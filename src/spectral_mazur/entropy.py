@@ -467,40 +467,55 @@ class GridSearchReport:
 
 
 def _rays(*coords) -> np.ndarray:
-    """Grid points ``(c_1, ..., c_k, 1 - c_1 - ... - c_k)`` as rows.
+    """Grid points ``(c_1, ..., c_k, 1 - c_1 - ... - c_k)`` as the columns of
+    one ``(k + 1, points)`` array.
 
-    Points with a negative coordinate lie off the simplex and are dropped.
-    Masks here and in :func:`_on_sphere` reduce down the columns of a
-    transposed copy: rows are only 2 or 3 wide.
+    The last coordinate is formed in place, by the subtractions of
+    ``1 - c_1 - ... - c_k``.  Points with a negative coordinate lie off the
+    simplex and are dropped; when none does, the array is returned as built.
     """
-    last = 1.0 - coords[0]
-    for c in coords[1:]:
-        last = last - c
-    w = np.column_stack((*coords, last))
-    return w[(np.ascontiguousarray(w.T) >= 0.0).all(axis=0)]
+    w = np.empty((len(coords) + 1, np.size(coords[0])))
+    for row, c in zip(w, coords):
+        row[...] = c
+    last = np.subtract(1.0, w[0], out=w[-1])
+    for c in w[1:-1]:
+        last -= c
+    keep = (w >= 0.0).all(axis=0)
+    return w if keep.all() else w[:, keep]
 
 
 def _on_sphere(c: Gauge, rs: np.ndarray, w: np.ndarray):
-    """Each grid row normalized onto the sphere of ``c``: ``(y, objective, pos)``.
+    """Each grid column normalized onto the sphere of ``c``: ``(y, objective, pos)``.
 
-    ``pos`` marks rows of positive norm (the others are left unscaled).  The
-    objective ``sum rs log(rs / y)`` is ``inf`` where the row's norm is not
-    positive or the normalized row has a coordinate ``<= 0``.
+    ``pos`` marks columns of positive norm (the others are left unscaled).
+    The objective ``sum rs log(rs / y)`` is ``inf`` where the column's norm
+    is not positive or the normalized column has a coordinate ``<= 0``.  Its
+    terms are added coordinate by coordinate, which for columns narrower
+    than 8 gives the bits of numpy's row sums.
     """
-    nw = eval_gauge_rows(c, w)
+    nw = eval_gauge_rows(c, w.T)
     pos = nw > 0.0
-    y = w / np.where(pos, nw, 1.0)[:, None]
-    ok = pos & (np.ascontiguousarray(y.T) > 0.0).all(axis=0)
-    vals = np.full(len(w), math.inf)
-    vals[ok] = np.sum(rs * np.log(rs / y[ok]), axis=1)
+    y = w / np.where(pos, nw, 1.0)
+    ok = pos & (y > 0.0).all(axis=0)
+    every = ok.all()
+    terms = rs[:, None] / (y if every else y[:, ok])
+    np.log(terms, out=terms)
+    terms *= rs[:, None]
+    if every:
+        return y, terms.sum(axis=0), pos
+    vals = np.full(w.shape[1], math.inf)
+    vals[ok] = terms.sum(axis=0)
     return y, vals, pos
 
 
 def _scan(c: Gauge, rs: np.ndarray, w: np.ndarray):
-    """The first grid row of least objective: ``(objective, y, row)``."""
+    """The first grid column of least objective: ``(objective, y, column)``.
+
+    The columns are returned as copies, so that the grid dies with the scan.
+    """
     y, vals, _ = _on_sphere(c, rs, w)
     i = int(np.argmin(vals))
-    return float(vals[i]), y[i], w[i]
+    return float(vals[i]), y[:, i].copy(), w[:, i].copy()
 
 
 def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
@@ -511,7 +526,8 @@ def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
     through the probability simplex, normalizes each onto the gauge sphere,
     scans a base grid, then runs one refinement pass around the winner; a
     refined point wins ties against the base winner.  Each grid is
-    evaluated as one ``(points, dim)`` array.
+    one ``(dim, points)`` array, so every elementwise pass runs down a whole
+    coordinate row; no grid outlives its scan.
     """
     m = as_matrix(rho)
     n = m.shape[0]
@@ -551,12 +567,11 @@ def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
         k1 = 60
         i, j = np.indices((k1 + 1, k1 + 1)).reshape(2, -1)
         keep = i + j <= k1
-        base = np.column_stack((i[keep], j[keep], k1 - i[keep] - j[keep])) / k1
+        base = np.stack((i[keep], j[keep], k1 - i[keep] - j[keep])) / k1
         val, y, w = _scan(c, rs, base)
         h = 1.0 / k1
         axis = np.linspace(-h, h, 81)
-        da, db = np.meshgrid(axis, axis, indexing="ij")
-        fine = _scan(c, rs, _rays(w[0] + da.ravel(), w[1] + db.ravel()))
+        fine = _scan(c, rs, _rays(np.repeat(w[0] + axis, axis.size), np.tile(w[1] + axis, axis.size)))
         if fine[0] <= val:
             val, y, w = fine
         step = float(axis[1] - axis[0])
@@ -564,7 +579,7 @@ def entropy_min_bruteforce(g: Gauge, rho) -> GridSearchReport:
         neighbours = _rays(w[0] + deltas[:, 0], w[1] + deltas[:, 1])
 
     yn, _, pos = _on_sphere(c, rs, neighbours)
-    pitch = float(np.max(np.abs(yn[pos] - y).sum(axis=1), initial=1e-12))
+    pitch = float(np.max(np.abs(yn[:, pos] - y[:, None]).sum(axis=0), initial=1e-12))
     y_full = np.zeros(n)
     y_full[supp] = y
     return GridSearchReport(

@@ -332,9 +332,12 @@ def _eval_rows(c: Gauge, a: np.ndarray) -> np.ndarray:
     is ``np.float_power``, which calls the C library's ``pow`` per entry, as
     Python's float pow does, and so gives its bits; numpy's ``**`` on an
     array may take a SIMD loop that differs in the last bit.  Row peaks are
-    taken down the columns of a transposed copy, which is fast for the few
-    columns of the grid oracle and exact, as any max is; row sums stay
-    along the rows, because their pairwise order fixes their bits.
+    taken down the columns of ``a.T``, which is fast for rows only 2 or 3
+    wide and exact, as any max is.  The grid oracle passes the transpose of
+    its ``(dim, points)`` grid, so there ``a.T`` is already contiguous and
+    is not copied.  Row sums stay along the rows, because their pairwise
+    order fixes their bits; rows narrower than 8 sum left to right in
+    either layout.
 
     ``Dual(Convexified(B, p))`` is exact on the descending scaled row
     ``phi``, padded with ``phi_n = 0``, and ``q = p'``: the ``a`` largest

@@ -102,7 +102,12 @@ def state(rngs, n: int) -> np.ndarray:
 
 def unitary(rngs, n: int) -> np.ndarray:
     """Haar-distributed unitaries via phase-corrected QR."""
-    q, r = np.linalg.qr(ginibre(rngs, n))
+    return _haar(ginibre(rngs, n))
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """The phase-corrected QR factors ``q`` of a stack of Ginibre matrices."""
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[:, None, :]
     return q
@@ -113,12 +118,16 @@ def ucptp_mixture(rngs, n: int):
 
     Unital, completely positive, and trace preserving; contracts every
     unitarily invariant norm.  Returns ``(weights, unitaries)`` of shapes
-    ``(k, 3)`` and ``(k, 3, n, n)``.
+    ``(k, 3)`` and ``(k, 3, n, n)``.  The matrices are drawn generator by
+    generator; each component's ``k`` matrices are then factored together
+    and written over their draws, so the QR never holds all ``3k`` at once.
     """
     lam = np.array([rng.exponential(size=3) for rng in rngs])
     lam = lam / lam.sum(axis=1, keepdims=True)
-    us = unitary([rng for rng in rngs for _ in range(3)], n)
-    return lam, us.reshape(len(rngs), 3, n, n)
+    us = ginibre([rng for rng in rngs for _ in range(3)], n).reshape(len(rngs), 3, n, n)
+    for j in range(3):
+        us[:, j] = _haar(us[:, j])
+    return lam, us
 
 
 def apply_mixture(mix, z: np.ndarray) -> np.ndarray:
