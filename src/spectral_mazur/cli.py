@@ -43,6 +43,7 @@ from .verify import (
 )
 from .verify.config import _fields_json
 from .verify.modulus import _profiled_map, _sphere_map
+from .verify.suites import _check_threads
 
 __all__ = ["RunManifest", "main", "entry"]
 
@@ -226,8 +227,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    _check_threads(args.threads)
     cfg = _build_config(args)
     if args.suite == "all":
         names = SUITE_NAMES

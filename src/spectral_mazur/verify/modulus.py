@@ -37,9 +37,9 @@ from functools import partial
 
 import numpy as np
 
-from ..entropy import entropy_min_general, norming_state
+from ..entropy import _require_solvable, entropy_min_general, norming_state
 from ..errors import ConfigError, NotSmooth, NumericalFailure
-from ..gauge import Gauge, Lp, _canonical_form, convexify, eval_gauge, format_gauge
+from ..gauge import Gauge, Lp, convexify, eval_gauge, format_gauge
 from ..matnorm import _habs
 from ..mazur import _check_power, mazur_forward, mazur_inverse
 from . import sampling
@@ -106,8 +106,10 @@ def _sphere_map(map_name: str, gauge: Gauge, p: float | None, label: str | None 
     else:
         if p is not None:
             raise ConfigError(f"map {label!r} takes no exponent p")
-        c = _canonical_form(gauge)
-        if not (gauge.smooth or (map_name == "FX" and c == Lp(1.0))):
+        # FX's domain is the entropy solver's: a smooth gauge, or canonical
+        # lp:1; FX_inv's is the duality map's, a smooth gauge
+        c = _require_solvable(gauge)
+        if map_name == "FX_inv" and not gauge.smooth:
             raise NotSmooth(f"gauge {format_gauge(gauge)} is not smooth")
         base, conv, e = Lp(1.0), gauge, c.p
         power = partial(norming_state, gauge)

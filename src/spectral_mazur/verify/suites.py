@@ -71,7 +71,7 @@ from typing import Callable
 import numpy as np
 
 from ..entropy import _check_general, check_state, entropy_min_general, entropy_min_mat, norming_state, rel_entropy
-from ..errors import NumericalFailure, UnknownSuite
+from ..errors import ConfigError, NumericalFailure, UnknownSuite
 from ..gauge import Lp, _canonical_form, _format_exponent, eval_gauge, eval_gauge_rows
 from ..matnorm import _EPS, _desc, _eigh, _eigh_psd, _habs, _l1_herm, _psd_spectrum, _rebuild, _svals, _svd_powers, matrix_to_json, trace_norm
 from . import sampling
@@ -719,9 +719,16 @@ def _jobs(cfg: SuiteConfig) -> list[tuple[int, range]]:
     return jobs
 
 
+def _check_threads(threads) -> None:
+    """Refuse a thread count that is not an ``int`` >= 1; a bool is refused too."""
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> SuiteReport:
     """Run one registered suite; the report is independent of ``threads``,
     of which at most one per CPU run, and one runs in the calling thread.
+    ``threads`` must be an ``int`` >= 1, else :class:`ConfigError`.
 
     More than one worker runs on a ``concurrent.futures.ThreadPoolExecutor``,
     imported here rather than at module top: one worker runs in the calling
@@ -730,6 +737,7 @@ def run_inequality_suite(name: str, cfg: SuiteConfig, threads: int = 1) -> Suite
     """
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
+    _check_threads(threads)
     jobs = _jobs(cfg)
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:

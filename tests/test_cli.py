@@ -103,10 +103,11 @@ def test_depth_one_dual_conv_inside_a_convexification_is_accepted(mat_file, caps
 
 
 def test_kyfan_index_past_int64_inside_a_dual_convexification(tmp_path, capsys):
-    # k > n behaves as k = n, in norm and in a verify config alike
+    # k > n behaves as k = n, in norm and in a verify config alike; the dual
+    # of the top-2 Euclidean gauge is exact at the identity, 3 / sqrt(2)
     write_matrix(tmp_path / "I3.json", np.eye(3).astype(complex))
     gauges = ["dual:conv:2:kyfan:" + str(10**20), "dual:conv:2:dual:kyfan:" + str(10**20)]
-    for gauge, want in zip(gauges, ("1.73205080756888", "3")):
+    for gauge, want in zip([*gauges, "dual:conv:2:kyfan:2"], ("1.73205080756888", "3", "2.12132034355964")):
         assert main(["norm", str(tmp_path / "I3.json"), "--gauge", gauge]) == 0
         assert capsys.readouterr().out == want + "\n", gauge
     (tmp_path / "c.json").write_text(json.dumps({"gauges": gauges, "dims": [2, 3], "samples_per_case": 2}))
@@ -488,16 +489,21 @@ def test_verify_dims_parse_error(tmp_path):
 
 
 def test_modulus_writes_json_and_csv(tmp_path, capsys):
-    base = tmp_path / "prof"
-    code = main(["modulus", "Gp", "--gauge", "lp:1", "--p", "3", "--dims", "2,3", "--samples", "16", "--out", str(base), *TS])
-    assert code == 0
-    data = json.loads((tmp_path / "prof.json").read_text())
-    assert data["profile"]["map_name"] == "Gp"
-    assert data["profile"]["bound_violations"] == 0
-    csv_text = (tmp_path / "prof.csv").read_text()
-    assert csv_text.startswith("# manifest: ")
-    assert csv_text.splitlines()[1] == "t,omega,count,bound"
-    assert "bound_violations=0" in capsys.readouterr().out
+    # a power map, and both entropy maps, which read their exponent from the gauge
+    for map_name, flags in (
+        ("Gp", ["--gauge", "lp:1", "--p", "3", "--samples", "16"]),
+        ("FX", ["--gauge", "lp:2", "--samples", "8"]),
+        ("FX_inv", ["--gauge", "lp:2", "--samples", "8"]),
+    ):
+        base = tmp_path / map_name
+        assert main(["modulus", map_name, *flags, "--dims", "2,3", "--out", str(base), *TS]) == 0, map_name
+        data = json.loads((tmp_path / f"{map_name}.json").read_text())
+        assert data["profile"]["map_name"] == map_name
+        assert data["profile"]["bound_violations"] == 0, map_name
+        csv_text = (tmp_path / f"{map_name}.csv").read_text()
+        assert csv_text.startswith("# manifest: ")
+        assert csv_text.splitlines()[1] == "t,omega,count,bound"
+        assert "bound_violations=0" in capsys.readouterr().out, map_name
 
 
 def test_modulus_requires_p_for_power_maps(tmp_path):

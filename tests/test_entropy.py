@@ -257,6 +257,10 @@ def test_seq_preconditions():
         entropy_min_seq(Lp(2.0), np.array([0.5, 0.6]))
     with pytest.raises(NotProbability):
         entropy_min_seq(Lp(2.0), np.array([1.5, -0.5]))
+    with pytest.raises(NotProbability, match="1-d"):
+        entropy_min_seq(Lp(2.0), [[0.5, 0.5]])
+    with pytest.raises(NotProbability, match="NaN"):
+        entropy_min_seq(Lp(2.0), [math.nan, 1.0])
     with pytest.raises(NotSmooth):
         entropy_min_seq(Lp(math.inf), np.array([0.5, 0.5]))
     with pytest.raises(NotSmooth):

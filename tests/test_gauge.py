@@ -138,7 +138,7 @@ vectors = st.lists(
     ["lp:1", "lp:1.5", "lp:2", "lp:inf", "kyfan:1", "kyfan:7", "conv:2:lp:1", "conv:2.5:kyfan:2", "dual:lp:3", "dual:conv:2:kyfan:2", "conv:2:conv:3:lp:1", "dual:dual:kyfan:2"],
 )
 def test_parse_format_roundtrip(text):
-    assert format_gauge(parse_gauge(text)) == text
+    assert format_gauge(parse_gauge(text)) == str(parse_gauge(text)) == text
 
 
 def test_parse_structure():
@@ -150,7 +150,7 @@ def test_parse_structure():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "lp", "lp:", "lp:0.5", "lp:abc", "lp:nan", "kyfan:0", "kyfan:2.5", "kyfan:-1", "bogus:2", "conv:2", "conv:0.9:lp:2", "dual:", "lp:2:extra"],
+    ["", "lp", "lp:", "lp:0.5", "lp:abc", "lp:nan", "kyfan:0", "kyfan:2.5", "kyfan:-1", "bogus:2", "conv:2", "conv:0.9:lp:2", "dual:", "lp:2:extra", 3],
 )
 def test_parse_rejects(bad):
     with pytest.raises(GaugeParseError):
@@ -342,6 +342,9 @@ def test_canonical_form_computed_once(monkeypatch):
         lambda: convexify(2.0, 2.0),
         lambda: Gauge().smooth,
         lambda: format_gauge(object()),
+        lambda: Lp("x"),
+        lambda: KyFan(2.0),
+        lambda: eval_gauge(Lp(2.0), [[1.0, 2.0]]),
     ],
 )
 def test_non_descriptors_rejected(call):

@@ -185,6 +185,8 @@ def test_make_rng_reproducible_and_key_sensitive():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    with pytest.raises(ConfigError):
+        make_rng(1, "suite", 1.5)  # a key part is an int or a str
 
 
 def test_make_rng_state_equals_a_list_seeded_seed_sequence():
@@ -293,6 +295,17 @@ def test_unknown_suite():
         run_inequality_suite("nope", SMALL)
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+def test_threads_must_be_an_int_of_at_least_one(monkeypatch, threads):
+    # refused by the library, as by --threads, before a generator is made
+    def no_sample(*key):
+        raise AssertionError(f"sampled {key}")
+
+    monkeypatch.setattr(sampling, "make_rng", no_sample)
+    with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
+        run_inequality_suite("holder", SMALL, threads=threads)
+
+
 def test_core_suites_subset():
     assert set(CORE_SUITE_NAMES) < set(SUITE_NAMES)
     assert "roundtrip" not in CORE_SUITE_NAMES and "mazur_entropy" not in CORE_SUITE_NAMES
@@ -372,6 +385,12 @@ def test_zero_tolerance_flags_floating_point_ties():
     assert payload["x"]["dim"] == 3
     text = dumps_json(rep.to_json())  # violations must serialize cleanly
     assert "violations" in text
+    # an infinite side is written as 1e308, and so is the ratio it makes,
+    # so the violation still serializes
+    for rhs, want in ((1.0, (1e308, 1.0, 1e308)), (math.inf, (1e308, 1e308, 1e308))):
+        v = suites_mod._violation(cfg, math.inf, rhs, "inf", {})
+        assert (v.lhs, v.rhs, v.ratio) == want, rhs
+        assert json.loads(dumps_json(v.to_json()))["ratio"] == 1e308, rhs
 
 
 @pytest.mark.parametrize(
